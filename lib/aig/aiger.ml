@@ -6,6 +6,48 @@ exception Parse_error of string
 
 let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* Both readers fail closed: every number is parsed by [nat], the header
+   may not declare more variables than the input has bytes (which bounds
+   every allocation by the input's size), and every literal is
+   range-checked before it indexes anything. *)
+
+(* A non-negative decimal field of at most 18 digits (below [max_int]). *)
+let nat what s =
+  let len = String.length s in
+  if len = 0 || len > 18 then parse_error "bad %s: %S" what s;
+  let n = ref 0 in
+  for k = 0 to len - 1 do
+    match s.[k] with
+    | '0' .. '9' as c -> n := (!n * 10) + (Char.code c - Char.code '0')
+    | _ -> parse_error "bad %s: %S" what s
+  done;
+  !n
+
+let fields line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+
+(* The header's M I L O A after the [kind] keyword. *)
+let parse_header kind header ~input_bytes =
+  match fields header with
+  | [ k; m; i; l; o; a ] when k = kind ->
+    let field what v = nat ("header field " ^ what) v in
+    let m = field "M" m in
+    if m > input_bytes then
+      parse_error "header declares %d variables, more than the %d-byte input can define" m
+        input_bytes;
+    (m, field "I" i, field "L" l, field "O" o, field "A" a)
+  | _ -> parse_error "bad %s header: %s" kind header
+
+(* The output index of a symbol-table line [o<idx> <name>], if it is one. *)
+let output_symbol line =
+  if String.length line > 1 && line.[0] = 'o' then
+    match String.index_opt line ' ' with
+    | Some sp -> (
+      match int_of_string_opt (String.sub line 1 (sp - 1)) with
+      | Some idx -> Some (idx, String.sub line (sp + 1) (String.length line - sp - 1))
+      | None -> None)
+    | None -> None
+  else None
+
 let to_string t =
   (* renumber: PIs, latches, then and nodes in topological (id) order *)
   let n = Graph.num_nodes t in
@@ -62,21 +104,19 @@ let parse_string text =
   let header, rest =
     match lines with [] -> parse_error "empty aag" | h :: rest -> (h, rest)
   in
-  let m, i, l, o, a =
-    match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
-    | [ "aag"; m; i; l; o; a ] ->
-      (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> parse_error "bad aag header: %s" header
-  in
-  let ints line =
-    String.split_on_char ' ' line
-    |> List.filter (fun s -> s <> "")
-    |> List.map int_of_string
-  in
+  let m, i, l, o, a = parse_header "aag" header ~input_bytes:(String.length text) in
+  let ints line = List.map (nat "literal") (fields line) in
   let t = Graph.create () in
   (* literal translation table indexed by aag node id *)
   let map = Array.make (m + 1) (-1) in
   map.(0) <- 0;
+  (* the variable a PI, latch or AND line defines *)
+  let def what lit =
+    if lit land 1 = 1 then parse_error "complemented %s definition" what;
+    let id = lit / 2 in
+    if id < 1 || id > m then parse_error "%s literal %d out of range (M = %d)" what lit m;
+    id
+  in
   let take k rest =
     let rec go k acc rest =
       if k = 0 then (List.rev acc, rest)
@@ -91,9 +131,7 @@ let parse_string text =
   List.iter
     (fun line ->
       match ints line with
-      | [ lit ] ->
-        if lit land 1 = 1 then parse_error "complemented pi definition";
-        map.(lit / 2) <- Graph.add_pi t
+      | [ lit ] -> map.(def "pi" lit) <- Graph.add_pi t
       | _ -> parse_error "bad pi line: %s" line)
     pi_lines;
   let latch_lines, rest = take l rest in
@@ -102,12 +140,14 @@ let parse_string text =
       (fun line ->
         match ints line with
         | [ lit; next ] ->
+          let id = def "latch" lit in
           let lat = Graph.add_latch t ~init:false in
-          map.(lit / 2) <- lat;
+          map.(id) <- lat;
           (lat, next)
         | [ lit; next; init ] ->
+          let id = def "latch" lit in
           let lat = Graph.add_latch t ~init:(init = 1) in
-          map.(lit / 2) <- lat;
+          map.(id) <- lat;
           (lat, next)
         | _ -> parse_error "bad latch line: %s" line)
       latch_lines
@@ -123,8 +163,8 @@ let parse_string text =
     (fun line ->
       match ints line with
       | [ lhs; a; b ] ->
-        if lhs land 1 = 1 then parse_error "complemented and definition";
-        map.(lhs / 2) <- Graph.mk_and t (tr a) (tr b)
+        let id = def "and" lhs in
+        map.(id) <- Graph.mk_and t (tr a) (tr b)
       | _ -> parse_error "bad and line: %s" line)
     and_lines;
   List.iter (fun (lat, next) -> Graph.set_latch_next t lat ~next:(tr next)) latch_nexts;
@@ -132,12 +172,9 @@ let parse_string text =
   let names = Hashtbl.create 8 in
   List.iter
     (fun line ->
-      if String.length line > 1 && line.[0] = 'o' then
-        match String.index_opt line ' ' with
-        | Some sp ->
-          let idx = int_of_string (String.sub line 1 (sp - 1)) in
-          Hashtbl.replace names idx (String.sub line (sp + 1) (String.length line - sp - 1))
-        | None -> ())
+      match output_symbol line with
+      | Some (idx, name) -> Hashtbl.replace names idx name
+      | None -> ())
     rest;
   List.iteri
     (fun idx line ->
@@ -244,12 +281,7 @@ let parse_binary_string text =
     | None -> parse_error "unexpected end of binary aig"
   in
   let header = read_line () in
-  let m, i, l, o, a =
-    match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
-    | [ "aig"; m; i; l; o; a ] ->
-      (int_of_string m, int_of_string i, int_of_string l, int_of_string o, int_of_string a)
-    | _ -> parse_error "bad aig header: %s" header
-  in
+  let m, i, l, o, a = parse_header "aig" header ~input_bytes:len in
   if m <> i + l + a then parse_error "binary aig requires M = I + L + A";
   let t = Graph.create () in
   (* literal (in our graph) for each aiger variable *)
@@ -261,15 +293,15 @@ let parse_binary_string text =
   let latch_info =
     List.init l (fun j ->
         let line = read_line () in
-        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-        | [ next ] -> (j, int_of_string next, false)
-        | [ next; init ] -> (j, int_of_string next, init = "1")
+        match fields line with
+        | [ next ] -> (j, nat "latch next" next, false)
+        | [ next; init ] -> (j, nat "latch next" next, init = "1")
         | _ -> parse_error "bad binary latch line: %s" line)
   in
   List.iter
     (fun (j, _, init) -> lit_of_var.(i + 1 + j) <- Graph.add_latch t ~init)
     latch_info;
-  let po_lits = List.init o (fun _ -> int_of_string (read_line ())) in
+  let po_lits = List.init o (fun _ -> nat "output literal" (read_line ())) in
   (* binary and section *)
   let read_varint () =
     let shift = ref 0 and value = ref 0 and continue = ref true in
@@ -294,7 +326,7 @@ let parse_binary_string text =
     let d1 = read_varint () in
     let rhs0 = lhs - d0 in
     let rhs1 = rhs0 - d1 in
-    if rhs0 < 0 || rhs1 < 0 then parse_error "bad deltas for and %d" j;
+    if d0 < 0 || d1 < 0 || rhs1 < 0 then parse_error "bad deltas for and %d" j;
     lit_of_var.(lhs / 2) <- Graph.mk_and t (tr rhs0) (tr rhs1)
   done;
   List.iter
@@ -306,13 +338,9 @@ let parse_binary_string text =
   (try
      while !pos < len do
        let line = read_line () in
-       if String.length line > 1 && line.[0] = 'o' then
-         match String.index_opt line ' ' with
-         | Some sp ->
-           let idx = int_of_string (String.sub line 1 (sp - 1)) in
-           Hashtbl.replace names idx
-             (String.sub line (sp + 1) (String.length line - sp - 1))
-         | None -> ()
+       match output_symbol line with
+       | Some (idx, name) -> Hashtbl.replace names idx name
+       | None -> ()
      done
    with Parse_error _ -> ());
   List.iteri

@@ -745,8 +745,9 @@ module Verify : sig
             ({!Dispatch}), and rebuild on refutation.  Exact
             counterexample replay makes the fixed point, verdict and
             final partition identical to the plain sweeps
-            (property-tested).  Drives depth-1 induction only;
-            [sat_unroll > 1] falls back to the plain loop. *)
+            (property-tested), at every induction depth: the SAT route
+            unrolls to the same [sat_unroll] frames of Q-hat assumptions
+            as the plain sweeps. *)
     use_analysis : bool;
         (** Static-analysis steering (default false): the engines run the
             zero-cost PI-support prefilter before every pass, the BDD

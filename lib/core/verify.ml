@@ -48,8 +48,9 @@ type options = {
          REDUCED product through the per-class hybrid dispatcher, and
          rebuild on refutation.  Reaches the same greatest fixed point as
          the plain sweeps (exact counterexample replay — see
-         specreduce.ml); only drives depth-1 induction, so [sat_unroll]
-         > 1 falls back to the plain loop. *)
+         specreduce.ml) at every induction depth: the SAT route unrolls
+         to [effective_induction] frames of Q-hat assumptions, as the
+         plain sweep does. *)
   use_analysis : bool;
       (* static-analysis steering: semantics-preserving pre-reduction (in
          {!portfolio}, when not resuming), the zero-cost PI-support

@@ -1,6 +1,7 @@
-(* A CDCL SAT solver: two-watched-literal propagation, first-UIP conflict
-   analysis, VSIDS decision heuristic with an indexed binary heap, phase
-   saving, Luby restarts and activity-based learned-clause reduction.
+(* A CDCL SAT solver: two-watched-literal propagation with blockers,
+   first-UIP conflict analysis, VSIDS decision heuristic with an indexed
+   binary heap, phase saving, Luby restarts and activity-based
+   learned-clause reduction.
 
    This is the "combinational verification technique based on the
    introduction of extra variables representing intermediate signals" that
@@ -11,15 +12,28 @@
    state is confined to the record [t] below — no module-level
    references, caches or scratch buffers — so independent instances can
    run concurrently in separate domains without synchronization.  Keep
-   it that way: any new scratch state belongs in [t]. *)
+   it that way: any new scratch state belongs in [t].  (The sentinel
+   [no_clause] is shared but never written.) *)
 
 type clause = {
   mutable lits : int array;
   learned : bool;
   mutable act : float;
   mutable lbd : int; (* literal block distance at learn time; 0 for problem clauses *)
-  act_tag : int; (* activation variable guarding this clause, or -1 *)
+  mutable deleted : bool;
+      (* detached lazily: its watchers are dropped when their vector is
+         next visited by [propagate] *)
 }
+
+(* Stands for "no clause" wherever a clause is expected: a decision's or
+   level-0 fact's reason, no conflict, and the unused slots of a watcher
+   vector.  Never written. *)
+let no_clause = { lits = [||]; learned = false; act = 0.0; lbd = 0; deleted = true }
+
+(* The watchers of one literal: clause [cls.(i)] watches the literal's
+   negation, and [blk.(i)] is one of its other literals (the blocker) —
+   while the blocker is true the clause is satisfied and is not opened. *)
+type watchers = { mutable cls : clause array; mutable blk : int array; mutable n : int }
 
 type result = Sat | Unsat
 
@@ -33,13 +47,14 @@ let l_undef = -1
 
 type t = {
   mutable nvars : int;
-  mutable clauses : clause list;
-  mutable learnts : clause list;
+  mutable guarded : clause list array;
+      (* per activation variable: the problem clauses it guards *)
+  mutable learnts : clause array; (* [0 .. n_learnts - 1] live, in learning order *)
   mutable n_learnts : int;
-  mutable watches : clause list array; (* indexed by literal *)
+  mutable watches : watchers array; (* indexed by literal *)
   mutable assign : int array; (* per var: lbool *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array; (* [no_clause] for decisions and level-0 facts *)
   mutable polarity : bool array; (* saved phase *)
   mutable activity : float array;
   mutable trail : int array; (* literals in assignment order *)
@@ -59,7 +74,7 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable restarts : int;
-  mutable n_clauses : int; (* |clauses|, maintained so the hot path is O(1) *)
+  mutable n_clauses : int; (* stored problem clauses *)
   mutable failed : int list;
       (* after an assumption-refuted solve: the failed-assumption core, a
          subset of the assumptions whose conjunction the clauses refute;
@@ -71,16 +86,18 @@ type t = {
          checker reconstructs the raw CNF through this *)
 }
 
+let empty_watchers () = { cls = [||]; blk = [||]; n = 0 }
+
 let create () =
   {
     nvars = 0;
-    clauses = [];
-    learnts = [];
+    guarded = Array.make 1 [];
+    learnts = Array.make 16 no_clause;
     n_learnts = 0;
-    watches = Array.make 2 [];
+    watches = Array.make 2 (empty_watchers ());
     assign = Array.make 1 l_undef;
     level = Array.make 1 0;
-    reason = Array.make 1 None;
+    reason = Array.make 1 no_clause;
     polarity = Array.make 1 false;
     activity = Array.make 1 0.0;
     trail = Array.make 1 0;
@@ -172,17 +189,20 @@ let heap_pop s =
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  s.watches <- grow_array s.watches (2 * s.nvars) [];
+  s.watches <- grow_array s.watches (2 * s.nvars) (empty_watchers ());
+  s.watches.(Lit.pos v) <- empty_watchers ();
+  s.watches.(Lit.neg v) <- empty_watchers ();
+  s.guarded <- grow_array s.guarded s.nvars [];
   s.assign <- grow_array s.assign s.nvars l_undef;
   s.level <- grow_array s.level s.nvars 0;
-  s.reason <- grow_array s.reason s.nvars None;
+  s.reason <- grow_array s.reason s.nvars no_clause;
   s.polarity <- grow_array s.polarity s.nvars false;
   s.activity <- grow_array s.activity s.nvars 0.0;
   s.trail <- grow_array s.trail s.nvars 0;
   s.seen <- grow_array s.seen s.nvars false;
   s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
   s.assign.(v) <- l_undef;
-  s.reason.(v) <- None;
+  s.reason.(v) <- no_clause;
   s.polarity.(v) <- false;
   s.activity.(v) <- 0.0;
   s.heap_pos.(v) <- -1;
@@ -218,7 +238,10 @@ let bump_var s v =
 let bump_clause s c =
   c.act <- c.act +. s.cla_inc;
   if c.act > 1e20 then begin
-    List.iter (fun c -> c.act <- c.act *. 1e-20) s.learnts;
+    for i = 0 to s.n_learnts - 1 do
+      let c = s.learnts.(i) in
+      c.act <- c.act *. 1e-20
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -245,7 +268,7 @@ let cancel_until s lvl =
     for i = s.trail_size - 1 downto s.trail_lim.(lvl) do
       let v = Lit.var s.trail.(i) in
       s.assign.(v) <- l_undef;
-      s.reason.(v) <- None;
+      s.reason.(v) <- no_clause;
       heap_insert s v
     done;
     s.trail_size <- s.trail_lim.(lvl);
@@ -255,70 +278,121 @@ let cancel_until s lvl =
 
 (* --- watched literals --------------------------------------------------- *)
 
-let attach s c =
-  s.watches.(Lit.negate c.lits.(0)) <- c :: s.watches.(Lit.negate c.lits.(0));
-  s.watches.(Lit.negate c.lits.(1)) <- c :: s.watches.(Lit.negate c.lits.(1))
+let watch s l c blocker =
+  let w = s.watches.(l) in
+  if w.n = Array.length w.cls then begin
+    let cap = max 4 (2 * w.n) in
+    let cls = Array.make cap no_clause and blk = Array.make cap 0 in
+    Array.blit w.cls 0 cls 0 w.n;
+    Array.blit w.blk 0 blk 0 w.n;
+    w.cls <- cls;
+    w.blk <- blk
+  end;
+  w.cls.(w.n) <- c;
+  w.blk.(w.n) <- blocker;
+  w.n <- w.n + 1
 
-(* Propagate all enqueued facts; returns the conflicting clause if any.
-   The watch list of a true literal [p] contains clauses in which [~p] is
-   watched (we index watches by the literal whose truth triggers a visit). *)
+let attach s c =
+  watch s (Lit.negate c.lits.(0)) c c.lits.(1);
+  watch s (Lit.negate c.lits.(1)) c c.lits.(0)
+
+(* Propagate all enqueued facts; returns the conflicting clause, or
+   [no_clause].  The watchers of a true literal [p] are the clauses in
+   which [~p] is watched (indexed by the literal whose truth triggers a
+   visit).  Each vector is compacted in place: [i] reads, [j] writes back
+   the watchers that stay, and deleted clauses' watchers are dropped. *)
 let propagate s =
-  let conflict = ref None in
-  while !conflict = None && s.qhead < s.trail_size do
+  let confl = ref no_clause in
+  while !confl == no_clause && s.qhead < s.trail_size do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
-    let ws = s.watches.(p) in
-    s.watches.(p) <- [];
-    let rec visit = function
-      | [] -> ()
-      | c :: rest -> (
-        let false_lit = Lit.negate p in
-        if c.lits.(0) = false_lit then begin
-          c.lits.(0) <- c.lits.(1);
-          c.lits.(1) <- false_lit
+    let false_lit = Lit.negate p in
+    let w = s.watches.(p) in
+    let cls = w.cls and blk = w.blk and n = w.n in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = cls.(!i) and b = blk.(!i) in
+      incr i;
+      if c.deleted then ()
+      else if value_lit s b = 1 then begin
+        cls.(!j) <- c;
+        blk.(!j) <- b;
+        incr j
+      end
+      else begin
+        let lits = c.lits in
+        if lits.(0) = false_lit then begin
+          lits.(0) <- lits.(1);
+          lits.(1) <- false_lit
         end;
-        if value_lit s c.lits.(0) = 1 then begin
-          (* clause already satisfied: keep the watch *)
-          s.watches.(p) <- c :: s.watches.(p);
-          visit rest
+        let first = lits.(0) in
+        if first <> b && value_lit s first = 1 then begin
+          (* satisfied by the other watch: keep it, as the new blocker *)
+          cls.(!j) <- c;
+          blk.(!j) <- first;
+          incr j
         end
         else begin
           (* look for a new literal to watch *)
-          let n = Array.length c.lits in
-          let rec find i =
-            if i >= n then -1 else if value_lit s c.lits.(i) <> 0 then i else find (i + 1)
-          in
-          let i = find 2 in
-          if i >= 0 then begin
-            c.lits.(1) <- c.lits.(i);
-            c.lits.(i) <- false_lit;
-            s.watches.(Lit.negate c.lits.(1)) <- c :: s.watches.(Lit.negate c.lits.(1));
-            visit rest
+          let len = Array.length lits in
+          let k = ref 2 in
+          while !k < len && value_lit s lits.(!k) = 0 do
+            incr k
+          done;
+          if !k < len then begin
+            lits.(1) <- lits.(!k);
+            lits.(!k) <- false_lit;
+            watch s (Lit.negate lits.(1)) c first
           end
           else begin
-            (* unit or conflicting *)
-            s.watches.(p) <- c :: s.watches.(p);
-            if value_lit s c.lits.(0) = 0 then begin
-              (* conflict: restore remaining watches and stop *)
+            (* unit or conflicting: the watch stays *)
+            cls.(!j) <- c;
+            blk.(!j) <- first;
+            incr j;
+            if value_lit s first = 0 then begin
+              (* conflict: keep the unvisited watchers and stop *)
+              confl := c;
               s.qhead <- s.trail_size;
-              conflict := Some c;
-              List.iter (fun c -> s.watches.(p) <- c :: s.watches.(p)) rest
+              while !i < n do
+                cls.(!j) <- cls.(!i);
+                blk.(!j) <- blk.(!i);
+                incr i;
+                incr j
+              done
             end
-            else begin
-              enqueue s c.lits.(0) (Some c);
-              visit rest
-            end
+            else enqueue s first c
           end
-        end)
-    in
-    visit ws
+        end
+      end
+    done;
+    (* clear the vacated slots so dropped clauses can be collected *)
+    if !j < n then Array.fill cls !j (n - !j) no_clause;
+    w.n <- !j
   done;
-  !conflict
+  !confl
 
 (* --- clause addition ---------------------------------------------------- *)
 
 exception Trivially_sat
+
+(* Sort, drop duplicates and level-0 false literals; raise [Trivially_sat]
+   on a tautology or a level-0 true literal. *)
+let normalize s lits =
+  let lits = List.sort_uniq Int.compare lits in
+  List.filter
+    (fun l ->
+      if List.mem (Lit.negate l) lits then raise Trivially_sat;
+      match value_lit s l with
+      | 1 -> raise Trivially_sat
+      | 0 -> false
+      | _ -> true)
+    lits
+
+let push_learnt s c =
+  s.learnts <- grow_array s.learnts (s.n_learnts + 1) no_clause;
+  s.learnts.(s.n_learnts) <- c;
+  s.n_learnts <- s.n_learnts + 1
 
 (* [act >= 0] guards the clause with activation variable [act]: the stored
    clause is [~act \/ lits] and {!release}[ act] retires it.  Activation
@@ -329,30 +403,19 @@ let add_clause ?(act = -1) s lits =
     let lits = if act >= 0 then Lit.neg act :: lits else lits in
     (match s.on_input with Some f -> f lits | None -> ());
     if decision_level s > 0 then cancel_until s 0;
-    (* normalize: sort, drop duplicates, detect tautology and false lits *)
-    let lits = List.sort_uniq compare lits in
-    try
-      let lits =
-        List.filter
-          (fun l ->
-            if List.mem (Lit.negate l) lits then raise Trivially_sat;
-            match value_lit s l with
-            | 1 -> raise Trivially_sat
-            | 0 -> false
-            | _ -> true)
-          lits
+    match normalize s lits with
+    | exception Trivially_sat -> ()
+    | [] -> s.ok <- false
+    | [ l ] ->
+      enqueue s l no_clause;
+      if propagate s != no_clause then s.ok <- false
+    | lits ->
+      let c =
+        { lits = Array.of_list lits; learned = false; act = 0.0; lbd = 0; deleted = false }
       in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-        enqueue s l None;
-        if propagate s <> None then s.ok <- false
-      | _ ->
-        let c = { lits = Array.of_list lits; learned = false; act = 0.0; lbd = 0; act_tag = act } in
-        s.clauses <- c :: s.clauses;
-        s.n_clauses <- s.n_clauses + 1;
-        attach s c
-    with Trivially_sat -> ()
+      if act >= 0 then s.guarded.(act) <- c :: s.guarded.(act);
+      s.n_clauses <- s.n_clauses + 1;
+      attach s c
   end
 
 (* --- conflict analysis (first UIP) -------------------------------------- *)
@@ -362,10 +425,10 @@ let analyze s confl =
   let path_c = ref 0 in
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let continue = ref true in
   while !continue do
-    let c = match !confl with Some c -> c | None -> assert false in
+    let c = !confl in
     if c.learned then bump_clause s c;
     let start = if !p = -1 then 0 else 1 in
     for i = start to Array.length c.lits - 1 do
@@ -417,7 +480,7 @@ let record_learnt s lits bt_level =
   log_proof s (Step_add (Array.to_list lits));
   cancel_until s bt_level;
   if Array.length lits = 1 then begin
-    enqueue s lits.(0) None
+    enqueue s lits.(0) no_clause
   end
   else begin
     (* ensure lits.(1) is at the backtrack level so watches stay valid *)
@@ -428,88 +491,82 @@ let record_learnt s lits bt_level =
     let tmp = lits.(1) in
     lits.(1) <- lits.(!hi);
     lits.(!hi) <- tmp;
-    let c = { lits; learned = true; act = 0.0; lbd; act_tag = -1 } in
+    let c = { lits; learned = true; act = 0.0; lbd; deleted = false } in
     bump_clause s c;
-    s.learnts <- c :: s.learnts;
-    s.n_learnts <- s.n_learnts + 1;
+    push_learnt s c;
     attach s c;
-    enqueue s lits.(0) (Some c)
+    enqueue s lits.(0) c
   end
 
-(* --- learned clause reduction ------------------------------------------- *)
+(* --- clause deletion ------------------------------------------------------ *)
+
+(* Detach [c] lazily and log its deletion.  A dropped clause may linger as
+   the reason of a level-0 fact; level-0 reasons are never dereferenced,
+   but the link is cleared anyway. *)
+let delete s c =
+  c.deleted <- true;
+  log_proof s (Step_delete (Array.to_list c.lits));
+  if Array.length c.lits > 0 then begin
+    let v = Lit.var c.lits.(0) in
+    if s.reason.(v) == c then s.reason.(v) <- no_clause
+  end
+
+(* Keep the learnts that satisfy [keep], in order; delete the others. *)
+let filter_learnts s keep =
+  let j = ref 0 in
+  for i = 0 to s.n_learnts - 1 do
+    let c = s.learnts.(i) in
+    if keep c then begin
+      s.learnts.(!j) <- c;
+      incr j
+    end
+    else delete s c
+  done;
+  Array.fill s.learnts !j (s.n_learnts - !j) no_clause;
+  s.n_learnts <- !j
 
 let locked s c =
-  Array.length c.lits > 0
-  &&
   let v = Lit.var c.lits.(0) in
-  match s.reason.(v) with Some r -> r == c && s.assign.(v) <> l_undef | None -> false
+  s.reason.(v) == c && s.assign.(v) <> l_undef
 
-let detach s c =
-  let remove l = s.watches.(l) <- List.filter (fun c' -> c' != c) s.watches.(l) in
-  remove (Lit.negate c.lits.(0));
-  remove (Lit.negate c.lits.(1))
-
+(* Drop the less active half of the learnts, sparing binary clauses and
+   the reasons of current assignments: they are marked here, and deleted
+   (and logged) by the filter. *)
 let reduce_db s =
-  let sorted = List.sort (fun a b -> compare a.act b.act) s.learnts in
-  let n = List.length sorted in
-  let to_drop = n / 2 in
+  let sorted = Array.sub s.learnts 0 s.n_learnts in
+  Array.stable_sort (fun a b -> Float.compare a.act b.act) sorted;
+  let to_drop = s.n_learnts / 2 in
   let dropped = ref 0 in
-  let keep =
-    List.filter
-      (fun c ->
-        if !dropped < to_drop && (not (locked s c)) && Array.length c.lits > 2 then begin
-          detach s c;
-          log_proof s (Step_delete (Array.to_list c.lits));
-          incr dropped;
-          false
-        end
-        else true)
-      sorted
-  in
-  s.learnts <- keep;
-  s.n_learnts <- List.length keep
+  Array.iter
+    (fun c ->
+      if !dropped < to_drop && (not (locked s c)) && Array.length c.lits > 2 then begin
+        c.deleted <- true;
+        incr dropped
+      end)
+    sorted;
+  filter_learnts s (fun c -> not c.deleted)
 
 (* --- activation release -------------------------------------------------- *)
 
-(* Retire activation variable [g]: the guarded problem clauses and every
-   learnt mentioning [~g] are permanently satisfied once [~g] holds, so
-   they are detached and dropped (activation-aware garbage collection)
-   before the retiring unit is asserted. *)
+(* Retire activation variable [g]: the clauses it guards and every learnt
+   mentioning [~g] are permanently satisfied once [~g] holds, so they are
+   deleted (activation-aware garbage collection) before the retiring unit
+   is asserted.  Then [g]'s two watcher vectors are never visited again
+   ([~g] stays true at level 0), so both are freed outright. *)
 let release s g =
   if s.ok then begin
     cancel_until s 0;
     let ng = Lit.neg g in
-    let drop c =
-      detach s c;
-      log_proof s (Step_delete (Array.to_list c.lits));
-      (* a dropped clause may linger as the reason of a level-0 fact;
-         level-0 reasons are never dereferenced, but clear it anyway *)
-      if Array.length c.lits > 0 then begin
-        let v = Lit.var c.lits.(0) in
-        match s.reason.(v) with Some r when r == c -> s.reason.(v) <- None | _ -> ()
-      end
-    in
-    s.clauses <-
-      List.filter
-        (fun c ->
-          if c.act_tag = g then begin
-            drop c;
-            s.n_clauses <- s.n_clauses - 1;
-            false
-          end
-          else true)
-        s.clauses;
-    s.learnts <-
-      List.filter
-        (fun c ->
-          if Array.exists (fun l -> l = ng) c.lits then begin
-            drop c;
-            s.n_learnts <- s.n_learnts - 1;
-            false
-          end
-          else true)
-        s.learnts;
-    add_clause s [ ng ]
+    List.iter
+      (fun c ->
+        delete s c;
+        s.n_clauses <- s.n_clauses - 1)
+      s.guarded.(g);
+    s.guarded.(g) <- [];
+    filter_learnts s (fun c -> not (Array.mem ng c.lits));
+    add_clause s [ ng ];
+    s.watches.(Lit.pos g) <- empty_watchers ();
+    s.watches.(ng) <- empty_watchers ()
   end
 
 (* --- search -------------------------------------------------------------- *)
@@ -553,13 +610,13 @@ let analyze_final s a =
     for i = s.trail_size - 1 downto s.trail_lim.(0) do
       let v = Lit.var s.trail.(i) in
       if s.seen.(v) then begin
-        (match s.reason.(v) with
-        | None -> s.failed <- s.trail.(i) :: s.failed
-        | Some c ->
+        let c = s.reason.(v) in
+        if c == no_clause then s.failed <- s.trail.(i) :: s.failed
+        else
           for j = 1 to Array.length c.lits - 1 do
             let u = Lit.var c.lits.(j) in
             if s.level.(u) > 0 then s.seen.(u) <- true
-          done);
+          done;
         s.seen.(v) <- false
       end
     done;
@@ -568,13 +625,13 @@ let analyze_final s a =
 
 (* Search until a restart is due ([budget] conflicts), Sat, or Unsat.
    [assumptions] are re-installed as the first decisions after every
-   restart or deep backjump. *)
+   restart or deep backjump: level [i + 1] holds [assumptions.(i)]. *)
 let search s assumptions budget =
   let conflicts_here = ref 0 in
   try
     while true do
-      match propagate s with
-      | Some confl ->
+      let confl = propagate s in
+      if confl != no_clause then begin
         s.conflicts <- s.conflicts + 1;
         incr conflicts_here;
         if decision_level s = 0 then begin
@@ -588,15 +645,16 @@ let search s assumptions budget =
         record_learnt s learnt bt;
         s.var_inc <- s.var_inc *. var_decay;
         s.cla_inc <- s.cla_inc *. cla_decay
-      | None ->
+      end
+      else begin
         if !conflicts_here >= budget then begin
           cancel_until s 0;
           raise Exit
         end;
         if s.n_learnts > 4000 + (2 * s.n_clauses) then reduce_db s;
         (* install pending assumptions as decisions *)
-        if decision_level s < List.length assumptions then begin
-          let a = List.nth assumptions (decision_level s) in
+        if decision_level s < Array.length assumptions then begin
+          let a = assumptions.(decision_level s) in
           match value_lit s a with
           | 0 ->
             (* assumption contradicted: extract the failed core *)
@@ -605,7 +663,7 @@ let search s assumptions budget =
           | 1 -> new_decision_level s (* dummy level, already true *)
           | _ ->
             new_decision_level s;
-            enqueue s a None
+            enqueue s a no_clause
         end
         else begin
           let v = pick_branch_var s in
@@ -613,9 +671,10 @@ let search s assumptions budget =
           else begin
             s.decisions <- s.decisions + 1;
             new_decision_level s;
-            enqueue s (Lit.make v s.polarity.(v)) None
+            enqueue s (Lit.make v s.polarity.(v)) no_clause
           end
         end
+      end
     done;
     assert false
   with
@@ -627,12 +686,13 @@ let solve ?(assumptions = []) s =
   if not s.ok then Unsat
   else begin
     cancel_until s 0;
-    match propagate s with
-    | Some _ ->
+    if propagate s != no_clause then begin
       s.ok <- false;
       log_proof s (Step_add []);
       Unsat
-    | None ->
+    end
+    else begin
+      let assumptions = Array.of_list assumptions in
       let restart = ref 0 in
       let rec loop () =
         let budget = int_of_float (100.0 *. luby 2.0 !restart) in
@@ -651,6 +711,7 @@ let solve ?(assumptions = []) s =
         log_proof s (Step_add (List.map Lit.negate s.failed))
       end;
       r
+    end
   end
 
 let solve_under_assumptions s assumptions = solve ~assumptions s
@@ -674,17 +735,18 @@ let after_solve_cleanup s = cancel_until s 0
    eliminate them — any derivation that touches a guarded clause leaves its
    guard literal in the resolvent.  Such clauses are consequences of the
    shared base encoding and are sound to import into any solver holding an
-   identical copy of it. *)
+   identical copy of it.  Listed newest first. *)
 let export_learnts s ~limit_var ~max_size ~max_lbd =
-  List.filter_map
-    (fun c ->
-      if
-        Array.length c.lits <= max_size
-        && c.lbd <= max_lbd
-        && Array.for_all (fun l -> Lit.var l < limit_var) c.lits
-      then Some (Array.to_list c.lits)
-      else None)
-    s.learnts
+  let out = ref [] in
+  for i = 0 to s.n_learnts - 1 do
+    let c = s.learnts.(i) in
+    if
+      Array.length c.lits <= max_size
+      && c.lbd <= max_lbd
+      && Array.for_all (fun l -> Lit.var l < limit_var) c.lits
+    then out := Array.to_list c.lits :: !out
+  done;
+  !out
 
 (* Install a clause known to be entailed (an import from a sibling solver):
    stored as a learnt so reduction can drop it again. *)
@@ -692,31 +754,21 @@ let import_clause s lits =
   if s.ok then begin
     if decision_level s > 0 then cancel_until s 0;
     List.iter (fun l -> if Lit.var l >= s.nvars then ensure_vars s (Lit.var l + 1)) lits;
-    let lits = List.sort_uniq compare lits in
-    try
-      let lits =
-        List.filter
-          (fun l ->
-            if List.mem (Lit.negate l) lits then raise Trivially_sat;
-            match value_lit s l with
-            | 1 -> raise Trivially_sat
-            | 0 -> false
-            | _ -> true)
-          lits
+    match normalize s lits with
+    | exception Trivially_sat -> ()
+    | [] -> s.ok <- false
+    | [ l ] ->
+      log_proof s (Step_add [ l ]);
+      enqueue s l no_clause;
+      if propagate s != no_clause then s.ok <- false
+    | lits ->
+      log_proof s (Step_add lits);
+      let c =
+        let lbd = List.length lits in
+        { lits = Array.of_list lits; learned = true; act = 0.0; lbd; deleted = false }
       in
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-        log_proof s (Step_add [ l ]);
-        enqueue s l None;
-        if propagate s <> None then s.ok <- false
-      | _ ->
-        log_proof s (Step_add lits);
-        let c = { lits = Array.of_list lits; learned = true; act = 0.0; lbd = List.length lits; act_tag = -1 } in
-        s.learnts <- c :: s.learnts;
-        s.n_learnts <- s.n_learnts + 1;
-        attach s c
-    with Trivially_sat -> ()
+      push_learnt s c;
+      attach s c
   end
 
 let num_vars s = s.nvars

@@ -93,7 +93,26 @@ let test_parse_errors () =
   expect_error "bad header" (fun () -> Aig.Aiger.parse_string "aag x\n");
   expect_error "truncated" (fun () -> Aig.Aiger.parse_string "aag 2 1 0 1 1\n2\n");
   expect_error "undefined literal" (fun () -> Aig.Aiger.parse_string "aag 1 0 0 1 0\n4\n");
-  expect_error "binary bad header" (fun () -> Aig.Aiger.parse_binary_string "aig 3 1 0 1 1\n")
+  expect_error "binary bad header" (fun () -> Aig.Aiger.parse_binary_string "aig 3 1 0 1 1\n");
+  (* a header larger than the input: no allocation sized by it *)
+  expect_error "huge M" (fun () -> Aig.Aiger.parse_string "aag 9999999999950 1 0 1 0\n");
+  expect_error "binary huge M" (fun () ->
+      Aig.Aiger.parse_binary_string "aig 9999999999950 9999999999950 0 0 0\n");
+  (* non-numeric fields *)
+  expect_error "word in header" (fun () -> Aig.Aiger.parse_string "aag x 1 0 1 0\n");
+  expect_error "word in body" (fun () -> Aig.Aiger.parse_string "aag 1 1 0 1 0\n2\ny\n");
+  expect_error "negative literal" (fun () -> Aig.Aiger.parse_string "aag 1 1 0 1 0\n2\n-3\n");
+  expect_error "binary word output" (fun () ->
+      Aig.Aiger.parse_binary_string "aig 1 1 0 1 0\nz\n");
+  (* literals outside 0 .. 2M+1 *)
+  expect_error "pi out of range" (fun () -> Aig.Aiger.parse_string "aag 1 1 0 1 0\n8\n2\n");
+  expect_error "latch out of range" (fun () -> Aig.Aiger.parse_string "aag 1 0 1 1 0\n6 0\n2\n");
+  expect_error "and out of range" (fun () ->
+      Aig.Aiger.parse_string "aag 2 1 0 1 1\n2\n4\n10 2 2\n");
+  expect_error "constant redefined" (fun () -> Aig.Aiger.parse_string "aag 1 1 0 1 0\n0\n0\n");
+  (* a malformed symbol line is ignored, not fatal *)
+  let a = Aig.Aiger.parse_string "aag 1 1 0 1 0\n2\n2\nox name\n" in
+  Alcotest.(check int) "symbol line ignored" 1 (List.length (Aig.pos a))
 
 let prop_cleanup_preserves =
   QCheck_alcotest.to_alcotest

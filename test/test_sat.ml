@@ -336,6 +336,10 @@ let test_rup_rejects_non_rup () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "deletion-invalidated addition accepted"
 
+let drat_of_step = function
+  | Sat.Step_add lits -> Sat.Dimacs.Add (List.map Sat.Lit.to_int lits)
+  | Sat.Step_delete lits -> Sat.Dimacs.Delete (List.map Sat.Lit.to_int lits)
+
 let test_solver_trace_replays () =
   (* end to end: the solver's own proof log, replayed through the
      independent checker, re-derives unsatisfiability *)
@@ -344,14 +348,7 @@ let test_solver_trace_replays () =
   let trace = ref [] in
   Sat.set_input_logger s
     (Some (fun lits -> Sat.Dimacs.Rup.add_input rup (List.map Sat.Lit.to_int lits)));
-  Sat.set_proof_logger s
-    (Some
-       (fun step ->
-         trace :=
-           (match step with
-           | Sat.Step_add lits -> Sat.Dimacs.Add (List.map Sat.Lit.to_int lits)
-           | Sat.Step_delete lits -> Sat.Dimacs.Delete (List.map Sat.Lit.to_int lits))
-           :: !trace));
+  Sat.set_proof_logger s (Some (fun step -> trace := drat_of_step step :: !trace));
   let nvars, clauses = pigeonhole 4 in
   Sat.ensure_vars s nvars;
   List.iter (fun c -> Sat.add_clause s (List.map Sat.Lit.of_int c)) clauses;
@@ -360,6 +357,184 @@ let test_solver_trace_replays () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail ("trace rejected: " ^ msg));
   Alcotest.(check bool) "empty clause derived" true (Sat.Dimacs.Rup.holds rup [])
+
+(* --- one persistent solver against brute force --------------------------- *)
+
+(* Scripts of operations on a single solver, over [n_base] problem
+   variables and [n_guards] activation variables (DIMACS [n_base + k + 1]
+   for guard [k]).  Guards are only ever assumed positively. *)
+type op =
+  | Add of int list
+  | Add_guarded of int * int list
+  | Solve of int list
+  | Release of int
+  | Import of int list
+
+let n_base = 5
+let n_guards = 3
+let guard_var k = n_base + k + 1
+
+let string_of_op =
+  let cl c = "[" ^ String.concat " " (List.map string_of_int c) ^ "]" in
+  function
+  | Add c -> "add " ^ cl c
+  | Add_guarded (k, c) -> Printf.sprintf "add@g%d %s" k (cl c)
+  | Solve a -> "solve " ^ cl a
+  | Release k -> Printf.sprintf "release g%d" k
+  | Import c -> "import " ^ cl c
+
+let arbitrary_script =
+  let open QCheck.Gen in
+  let base_lit = map2 (fun v s -> if s then v + 1 else -(v + 1)) (int_bound (n_base - 1)) bool in
+  let clause = list_size (frequency [ (1, return 1); (3, return 2); (4, return 3) ]) base_lit in
+  let guard = int_bound (n_guards - 1) in
+  let assumption = frequency [ (3, base_lit); (2, map guard_var guard) ] in
+  let op =
+    frequency
+      [ (4, map (fun c -> Add c) clause);
+        (4, map2 (fun k c -> Add_guarded (k, c)) guard clause);
+        (4, map (fun a -> Solve a) (list_size (int_range 0 4) assumption));
+        (1, map (fun k -> Release k) guard);
+        (2, map (fun c -> Import c) clause) ]
+  in
+  QCheck.make
+    (list_size (int_range 1 40) op)
+    ~print:(fun ops -> String.concat "; " (List.map string_of_op ops))
+    ~shrink:QCheck.Shrink.list
+
+(* Every answer agrees with brute force over the active clauses (guarded
+   ones as [~g \/ c], a release as the unit [~g]); every model satisfies
+   them and the assumptions; every failed core is a subset of the
+   assumptions that brute force refutes on its own; imports are clauses
+   brute force shows entailed by the permanent clauses; and the whole DRAT
+   trace replays through [Dimacs.Rup]. *)
+let prop_persistent_solver ops =
+  let nv = n_base + n_guards in
+  let s = Sat.create () in
+  Sat.ensure_vars s nv;
+  (* the trace is replayed step by step as it is produced *)
+  let rup = Sat.Dimacs.Rup.create () and rup_failure = ref None in
+  Sat.set_input_logger s
+    (Some (fun lits -> Sat.Dimacs.Rup.add_input rup (List.map Sat.Lit.to_int lits)));
+  Sat.set_proof_logger s
+    (Some
+       (fun step ->
+         match Sat.Dimacs.Rup.replay rup [ drat_of_step step ] with
+         | Ok () -> ()
+         | Error msg -> if !rup_failure = None then rup_failure := Some msg));
+  let permanent = ref [] and guarded = Array.make n_guards [] in
+  let active () = !permanent @ List.concat (Array.to_list guarded) in
+  let units = List.map (fun l -> [ l ]) in
+  let lits = List.map Sat.Lit.of_int in
+  let model_satisfies c =
+    List.exists (fun l -> Sat.value s (abs l - 1) = (l > 0)) c
+  in
+  let step = function
+    | Add c ->
+      Sat.add_clause s (lits c);
+      permanent := c :: !permanent;
+      true
+    | Add_guarded (k, c) ->
+      Sat.add_clause ~act:(guard_var k - 1) s (lits c);
+      guarded.(k) <- (-guard_var k :: c) :: guarded.(k);
+      true
+    | Release k ->
+      Sat.release s (guard_var k - 1);
+      guarded.(k) <- [];
+      permanent := [ -guard_var k ] :: !permanent;
+      true
+    | Import c ->
+      if not (brute_force nv (units (List.map (fun l -> -l) c) @ !permanent)) then begin
+        (* entailed, but not necessarily RUP: the checker takes it as given *)
+        Sat.Dimacs.Rup.add_input rup c;
+        Sat.import_clause s (lits c);
+        permanent := c :: !permanent
+      end;
+      true
+    | Solve a -> (
+      let clauses = active () in
+      let expect = brute_force nv (units a @ clauses) in
+      match Sat.solve ~assumptions:(lits a) s with
+      | Sat.Sat -> expect && List.for_all model_satisfies (units a @ clauses)
+      | Sat.Unsat ->
+        let core = List.map Sat.Lit.to_int (Sat.failed_assumptions s) in
+        (not expect)
+        && List.for_all (fun l -> List.mem l a) core
+        && not (brute_force nv (units core @ clauses)))
+  in
+  List.for_all step ops && !rup_failure = None
+
+(* Learnt-clause reduction interleaved with releases.  Each round adds a
+   fresh copy of PHP(7, 6) whose pigeon clauses are relaxed by a variable
+   [z], and the clause [~z] under a fresh guard [g]: unsat under [g],
+   satisfiable once [g] is released.  The round's learnts mostly keep [z]
+   and outlive the release, so they pile up past [4000 + 2 * clauses]
+   and reduction deletes lazily inside a solve; the rounds after that
+   release guards while the reduced clauses' watchers are still
+   attached.  Every model must satisfy every clause added, and the trace
+   must log exactly one deletion per clause removed. *)
+let test_reduce_with_releases () =
+  let s = Sat.create () in
+  let stored_learnts = ref 0 and deletes = ref 0 and solve_deletes = ref 0 in
+  let in_solve = ref false in
+  Sat.set_proof_logger s
+    (Some
+       (function
+       | Sat.Step_add lits -> if List.length lits >= 2 then incr stored_learnts
+       | Sat.Step_delete _ ->
+         incr deletes;
+         if !in_solve then incr solve_deletes));
+  let solve ?(assumptions = []) () =
+    in_solve := true;
+    let r = Sat.solve ~assumptions s in
+    in_solve := false;
+    r
+  in
+  let added = ref [] in
+  let _, clauses = pigeonhole 6 in
+  let round r =
+    let z = Sat.new_var s in
+    (* DIMACS variable [i] of the copy is solver variable [z + i] *)
+    let lit i = Sat.Lit.make (z + abs i) (i > 0) in
+    Sat.ensure_vars s (z + 1 + (7 * 6));
+    List.iter
+      (fun c ->
+        let relax = if List.for_all (fun i -> i > 0) c then [ Sat.Lit.pos z ] else [] in
+        let c = relax @ List.map lit c in
+        Sat.add_clause s c;
+        added := c :: !added)
+      clauses;
+    let g = Sat.new_var s in
+    Sat.add_clause ~act:g s [ Sat.Lit.neg z ];
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d unsat under g" r)
+      true
+      (solve ~assumptions:[ Sat.Lit.pos g ] () = Sat.Unsat);
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d core is g" r)
+      true
+      (Sat.failed_assumptions s = [ Sat.Lit.pos g ]);
+    Sat.release s g;
+    match solve () with
+    | Sat.Sat ->
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d model" r)
+        true
+        (List.for_all (List.exists (Sat.value_lit s)) !added)
+    | Sat.Unsat -> Alcotest.fail (Printf.sprintf "round %d unsat after release" r)
+  in
+  let r = ref 0 in
+  while !solve_deletes = 0 && !r < 30 do
+    incr r;
+    round !r
+  done;
+  Alcotest.(check bool) "learnts were reduced" true (!solve_deletes > 0);
+  round (!r + 1);
+  round (!r + 2);
+  (* each round's guarded clause and every dropped learnt, once each *)
+  Alcotest.(check int) "one deletion per removed clause"
+    (!stored_learnts - Sat.num_learnts s + !r + 2)
+    !deletes
 
 let qprop name count arb p = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb p)
 
@@ -382,10 +557,12 @@ let suite =
     Alcotest.test_case "rup checker" `Quick test_rup_checker;
     Alcotest.test_case "rup rejects non-rup" `Quick test_rup_rejects_non_rup;
     Alcotest.test_case "solver trace replays" `Quick test_solver_trace_replays;
+    Alcotest.test_case "reduction interleaved with releases" `Quick test_reduce_with_releases;
     qprop "matches brute force" 500 arbitrary_cnf prop_matches_brute_force;
     qprop "model satisfies" 500 arbitrary_cnf prop_model_satisfies;
     qprop "assumptions sound" 300 arbitrary_cnf prop_assumptions_sound;
     qprop "assumptions are temporary" 200 arbitrary_cnf prop_assumptions_dont_stick;
+    qprop "persistent solver matches brute force" 300 arbitrary_script prop_persistent_solver;
   ]
 
 let () = Alcotest.run "sat" [ ("sat", suite) ]
