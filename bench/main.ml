@@ -19,9 +19,6 @@
                     nonzero exit when any verdict regresses from "proved"
    --filter RE      only bench suite circuits whose name matches RE
                     (OCaml Str regexp: alternation is backslash-pipe)
-   --no-incremental run every scorr target with throwaway per-class SAT
-                    solvers (the ablation-incremental target always A/Bs
-                    both modes regardless of this flag)
    --speculate      run every scorr target with speculative reduction and
                     the per-class dispatcher (the ablation-speculation
                     target always A/Bs both modes regardless)
@@ -69,7 +66,6 @@ let seed_flag = ref Scorr.default_options.Scorr.Verify.seed
 let jobs = ref (Domain.recommended_domain_count ())
 let sweep_jobs = ref 1
 let deadline_flag = ref 0.0
-let no_incremental = ref false
 let speculate_flag = ref false
 let serve_socket : string option ref = ref None
 
@@ -179,7 +175,6 @@ let scorr_options () =
     seed = !seed_flag;
     jobs = !sweep_jobs;
     deadline_seconds = !deadline_flag;
-    use_incremental = not !no_incremental;
     use_speculation =
       !speculate_flag || Scorr.default_options.Scorr.Verify.use_speculation;
   }
@@ -357,11 +352,10 @@ let smoke_circuits = [ "ctr8"; "gray12"; "traffic"; "mod10"; "arb4" ]
 let ablation_engine () =
   Printf.printf
     "A3: BDD refinement (the paper) vs SAT refinement (the paper's future work),\n\
-     the batched sweeps + counterexample pool vs the legacy pairwise scans,\n\
      and the analysis-steered portfolio (pre-reduction + engine-rung plan)\n\n";
-  Printf.printf "%-9s | %-8s %7s %8s | %-8s %7s %7s %5s %5s %5s | %-8s %7s %7s | %-8s %7s %7s\n"
-    "circuit" "bdd" "time" "nodes" "sat" "time" "calls" "pool" "resim" "hits" "sat-pair"
-    "time" "calls" "auto" "time" "solves";
+  Printf.printf "%-9s | %-8s %7s %8s | %-8s %7s %7s %5s %5s %5s | %-8s %7s %7s\n"
+    "circuit" "bdd" "time" "nodes" "sat" "time" "calls" "pool" "resim" "hits" "auto" "time"
+    "solves";
   print_endline line;
   let pairs =
     Array.of_list
@@ -382,43 +376,28 @@ let ablation_engine () =
     let sat =
       run { (scorr_options ()) with Scorr.Verify.engine = Scorr.Verify.Sat_engine }
     in
-    let pairwise =
-      run
-        {
-          (scorr_options ()) with
-          Scorr.Verify.engine = Scorr.Verify.Sat_engine;
-          use_batched_sweeps = false;
-        }
-    in
     let auto =
       let options = budgeted { (scorr_options ()) with Scorr.Verify.use_analysis = true } in
       timed (fun () -> Scorr.portfolio ~options spec impl)
     in
-    (bdd, sat, pairwise, auto)
+    (bdd, sat, auto)
   in
   let pool = Scorr.Parsweep.create ~jobs:!jobs ~init:(fun _ -> ()) in
   let results = Scorr.Parsweep.map pool ~f:job pairs in
   Scorr.Parsweep.shutdown pool;
   Array.iteri
-    (fun i ((vb, tb), (vs, ts), (vp, tp), (va, ta)) ->
+    (fun i ((vb, tb), (vs, ts), (va, ta)) ->
       let e, spec, impl = pairs.(i) in
       let name = e.Circuits.Suite.name in
       let shape = shape_fragment spec impl in
       record ~run:"ablation-engine" ~circuit:name ~engine:"bdd" ~shape vb tb;
       record ~run:"ablation-engine" ~circuit:name ~engine:"sat" ~shape vs ts;
-      record ~run:"ablation-engine" ~circuit:name ~engine:"sat-pairwise" ~shape vp tp;
       record ~run:"ablation-engine" ~circuit:name ~engine:"auto" ~shape va ta;
-      let sb = Scorr.verdict_stats vs
-      and sp = Scorr.verdict_stats vp
-      and sa = Scorr.verdict_stats va in
-      Printf.printf
-        "%-9s | %-8s %7.2f %8d | %-8s %7.2f %7d %5d %5d %5d | %-8s %7.2f %7d | %-8s %7.2f \
-         %7d\n\
-         %!"
+      let sb = Scorr.verdict_stats vs and sa = Scorr.verdict_stats va in
+      Printf.printf "%-9s | %-8s %7.2f %8d | %-8s %7.2f %7d %5d %5d %5d | %-8s %7.2f %7d\n%!"
         name (verdict_name vb) tb (Scorr.verdict_stats vb).Scorr.Verify.peak_bdd_nodes
         (verdict_name vs) ts sb.Scorr.Verify.sat_calls sb.pool_lanes sb.resim_splits
-        sb.cache_hits (verdict_name vp) tp sp.Scorr.Verify.sat_calls (verdict_name va) ta
-        sa.Scorr.Verify.batched_solves)
+        sb.cache_hits (verdict_name va) ta sa.Scorr.Verify.batched_solves)
     results
 
 (* --- A4: reachable don't-cares -------------------------------------------------------- *)
@@ -488,53 +467,6 @@ let ablation_unroll () =
        (fun (e, _, _) ->
          List.mem e.Circuits.Suite.name
            [ "ctr8"; "gray12"; "crc16"; "crc32"; "traffic"; "mod10"; "arb4"; "bus" ])
-       (suite_pairs Circuits.Suite.Retime_opt))
-
-(* --- E2: persistent incremental SAT ----------------------------------------------------- *)
-
-(* A/B of the incremental machinery: one persistent activation-guarded
-   solver per sweep lane, learned-clause sharing at merge points and
-   failed-core proof transfer, against a throwaway solver per class
-   obligation.  Verdicts must agree; the point of the table is the
-   reduction in solver work (conflicts, wall time). *)
-let ablation_incremental () =
-  Printf.printf
-    "E2 (extension): persistent incremental SAT across the fixed point vs a\n\
-     throwaway solver per class obligation (identical verdicts by construction)\n\n";
-  Printf.printf "%-9s | %-8s %7s %9s %7s %7s | %-9s %7s %9s | %7s %7s\n" "circuit"
-    "incr" "time" "conflicts" "prunes" "shared" "throwaway" "time" "conflicts" "t-ratio"
-    "c-ratio";
-  print_endline line;
-  let circuits = if !smoke then [ "ctr8"; "lfsr16"; "mod10" ] else [ "ctr16"; "gray12"; "lfsr16" ] in
-  List.iter
-    (fun (e, spec, impl) ->
-      let name = e.Circuits.Suite.name in
-      let run incr =
-        let options =
-          {
-            (scorr_options ()) with
-            Scorr.Verify.engine = Scorr.Verify.Sat_engine;
-            use_incremental = incr;
-          }
-        in
-        let options =
-          if !smoke then { options with Scorr.Verify.max_sat_calls = 50_000 } else options
-        in
-        timed (fun () -> Scorr.check ~options spec impl)
-      in
-      let vi, ti = run true in
-      let vf, tf = run false in
-      let shape = shape_fragment spec impl in
-      record ~run:"ablation-incremental" ~circuit:name ~engine:"sat" ~shape vi ti;
-      record ~run:"ablation-incremental" ~circuit:name ~engine:"sat-noincr" ~shape vf tf;
-      let si = Scorr.verdict_stats vi and sf = Scorr.verdict_stats vf in
-      let ratio num den = if num > 0.0 then den /. num else Float.nan in
-      Printf.printf "%-9s | %-8s %7.2f %9d %7d %7d | %-9s %7.2f %9d | %6.1fx %6.1fx\n%!"
-        name (verdict_name vi) ti si.Scorr.Verify.conflicts si.core_prunes si.shared_clauses
-        (verdict_name vf) tf sf.Scorr.Verify.conflicts (ratio ti tf)
-        (ratio (float_of_int si.Scorr.Verify.conflicts) (float_of_int sf.Scorr.Verify.conflicts)))
-    (List.filter
-       (fun (e, _, _) -> List.mem e.Circuits.Suite.name circuits)
        (suite_pairs Circuits.Suite.Retime_opt))
 
 (* --- E4: speculative reduction ----------------------------------------------------------- *)
@@ -813,7 +745,7 @@ let targets =
   [ ("table1", table1); ("eqpct", eqpct); ("ablation-fundep", ablation_fundep);
     ("ablation-sim", ablation_sim); ("ablation-retime", ablation_retime);
     ("ablation-engine", ablation_engine); ("ablation-dontcare", ablation_dontcare);
-    ("ablation-unroll", ablation_unroll); ("ablation-incremental", ablation_incremental);
+    ("ablation-unroll", ablation_unroll);
     ("ablation-speculation", ablation_speculation);
     ("ablation-induction", ablation_induction);
     ("micro", micro) ]
@@ -855,9 +787,6 @@ let () =
       parse_flags rest
     | "--sweep-jobs" :: n :: rest ->
       sweep_jobs := int_arg "--sweep-jobs" n;
-      parse_flags rest
-    | "--no-incremental" :: rest ->
-      no_incremental := true;
       parse_flags rest
     | "--speculate" :: rest ->
       speculate_flag := true;

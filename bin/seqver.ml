@@ -8,50 +8,19 @@
    diagnostics), gen (emit suite circuits), opt (apply the synthesis
    pipeline), sim (random simulation), stats. *)
 
-(* Every input path is preflight-linted — including .aag files, which used
-   to bypass validation entirely; a rejection prints the full
-   multi-diagnostic report and exits 2.  Netlists are parsed leniently so
-   that the lint pass sees every defect at once instead of the parser
-   bailing on the first one; the preflight's error-level rules cover all
-   lenient recoveries, so nothing defective reaches the prover. *)
+(* Every input path goes through {!Lint.load_circuit}, which picks the
+   reader by suffix and preflight-lints every format; a failure prints its
+   message (the full multi-diagnostic report for a rejection) and exits 2.
+   Netlists are parsed leniently so that the lint pass sees every defect
+   at once instead of the parser bailing on the first one; the
+   preflight's error-level rules cover all lenient recoveries, so nothing
+   defective reaches the prover. *)
 let read_circuit path =
-  try
-    if Filename.check_suffix path ".aag" then begin
-      let aig = Aig.Aiger.parse_file path in
-      Lint.preflight_aig ~subject:path aig;
-      aig
-    end
-    else if Filename.check_suffix path ".v" then begin
-      (* structural Verilog carries register specs (enables, derived
-         clocks, resets): preflight the raw circuit so lenient-parse
-         defects are reported, then lower to plain latches for the
-         prover and preflight the result. *)
-      let design = Netlist.Verilog.parse_file ~lenient:true path in
-      Lint.preflight_netlist ~subject:path (Netlist.Clocking.circuit design);
-      let lowered = Netlist.Clocking.lower design in
-      Lint.preflight_netlist ~subject:path lowered;
-      fst (Aig.of_netlist lowered)
-    end
-    else begin
-      let netlist =
-        if Filename.check_suffix path ".bench" then
-          Netlist.Bench.parse_file ~lenient:true path
-        else Netlist.Blif.parse_file ~lenient:true path
-      in
-      Lint.preflight_netlist ~subject:path netlist;
-      fst (Aig.of_netlist netlist)
-    end
-  with
-  | Lint.Rejected report ->
-      prerr_string report;
-      exit 2
-  | Netlist.Blif.Parse_error msg | Netlist.Bench.Parse_error msg
-  | Netlist.Verilog.Parse_error msg | Aig.Aiger.Parse_error msg ->
-      Printf.eprintf "%s: parse error: %s\n" path msg;
-      exit 2
-  | Netlist.Clocking.Lower_error msg ->
-      Printf.eprintf "%s: clocking error: %s\n" path msg;
-      exit 2
+  match Lint.load_circuit path with
+  | Ok aig -> aig
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
 
 let write_circuit path aig =
   if Filename.check_suffix path ".aag" then Aig.Aiger.to_file path aig
@@ -145,7 +114,7 @@ let run_verify_suite engine jobs deadline quiet =
   !code
 
 let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime
-    no_incremental speculate no_speculate dontcare analysis node_limit unroll seconds
+    speculate no_speculate dontcare analysis node_limit unroll seconds
     deadline checkpoint checkpoint_every resume show_classes emit_cert proof emit_witness
     jobs suite quiet =
   if suite then run_verify_suite engine jobs deadline quiet
@@ -192,7 +161,6 @@ let run_verify spec_path impl_path meth engine no_sim_seed no_fundep no_retime
       use_sim_seed = not no_sim_seed;
       use_fundep = not no_fundep;
       use_retime = not no_retime;
-      use_incremental = not no_incremental;
       use_speculation =
         (speculate || Scorr.default_options.Scorr.Verify.use_speculation)
         && not no_speculate;
@@ -618,6 +586,11 @@ let run_replay witness_path spec_path impl_path do_shrink vcd quiet =
 let lint_subjects files suite =
   let of_file path =
     if Filename.check_suffix path ".aag" then (path, `Aig (Aig.Aiger.parse_file path))
+    else if Filename.check_suffix path ".aig" then
+      ( path,
+        `Aig
+          (Aig.Aiger.parse_binary_string (In_channel.with_open_bin path In_channel.input_all))
+      )
     else if Filename.check_suffix path ".bench" then
       (path, `Netlist (Netlist.Bench.parse_file ~lenient:true path))
     else if Filename.check_suffix path ".v" then begin
@@ -832,8 +805,8 @@ let print_server_stats ~json (s : Serve.Protocol.server_stats) =
    --cancel JOB, --stats, --shutdown.  Exit codes follow verify (0
    equivalent, 1 not equivalent, 3 unknown/cancelled, 2 protocol or
    usage trouble). *)
-let run_submit spec impl socket tcp meth engine induction seed analysis no_incremental
-    speculate deadline json quiet progress cancel status result wait stats shutdown =
+let run_submit spec impl socket tcp meth engine induction seed analysis speculate
+    deadline json quiet progress cancel status result wait stats shutdown =
   let tcp = Option.map parse_hostport tcp in
   let with_client k =
     match Serve.Client.connect ?tcp ~socket () with
@@ -861,7 +834,6 @@ let run_submit spec impl socket tcp meth engine induction seed analysis no_incre
             induction;
             seed;
             analysis;
-            incremental = not no_incremental;
             speculate;
             deadline;
           }
@@ -971,13 +943,6 @@ let verify_cmd =
   let no_sim_seed = Arg.(value & flag & info [ "no-sim-seed" ] ~doc:"Disable simulation seeding.") in
   let no_fundep = Arg.(value & flag & info [ "no-fundep" ] ~doc:"Disable functional dependencies.") in
   let no_retime = Arg.(value & flag & info [ "no-retime" ] ~doc:"Disable retiming extension.") in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Solve every class obligation on a throwaway SAT solver instead of the \
-                   persistent per-lane incremental solvers (baseline for A/B comparison; \
-                   verdicts are identical, only the work differs).")
-  in
   let speculate =
     Arg.(value & flag
          & info [ "speculate" ]
@@ -1080,7 +1045,7 @@ let verify_cmd =
              (exit 0 equivalent, 1 not equivalent, 3 unknown, 2 usage/parse error)")
     Term.(
       const run_verify $ spec $ impl $ meth $ engine $ no_sim_seed $ no_fundep $ no_retime
-      $ no_incremental $ speculate $ no_speculate $ dontcare $ analysis $ node_limit
+      $ speculate $ no_speculate $ dontcare $ analysis $ node_limit
       $ unroll $ seconds $ deadline $ checkpoint $ checkpoint_every $ resume
       $ show_classes $ emit_cert $ proof $ emit_witness $ jobs $ suite $ quiet)
 
@@ -1286,12 +1251,6 @@ let submit_cmd =
   let analysis =
     Arg.(value & flag & info [ "analysis" ] ~doc:"Enable the static-analysis layer.")
   in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Run the job with throwaway per-class SAT solvers instead of the \
-                   persistent incremental ones (cached separately).")
-  in
   let speculate =
     Arg.(value & flag
          & info [ "speculate" ]
@@ -1329,7 +1288,7 @@ let submit_cmd =
              (exit 0 equivalent, 1 not equivalent, 3 unknown/cancelled, 2 protocol error)")
     Term.(
       const run_submit $ spec $ impl $ socket $ tcp $ meth $ engine $ induction $ seed
-      $ analysis $ no_incremental $ speculate $ deadline $ json $ quiet $ progress
+      $ analysis $ speculate $ deadline $ json $ quiet $ progress
       $ cancel $ status $ result $ wait $ stats $ shutdown)
 
 let () =

@@ -43,7 +43,8 @@ val matches_digests : spec_digest:string -> impl_digest:string -> t -> bool
 
 val n_classes : t -> int
 val n_constraints : t -> int
-(** Number of pairwise equalities in Q (class sizes minus class count). *)
+(** Number of (representative, member) equalities in Q (class sizes
+    minus class count). *)
 
 (** {1 Emission} *)
 

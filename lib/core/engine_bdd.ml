@@ -120,26 +120,11 @@ let make ?(use_fundep = true) ?latch_order ?care_of ?(node_limit = max_int)
 let shutdown ctx = Parsweep.shutdown ctx.sched
 let sched_stats ctx = Parsweep.stats ctx.sched
 
-(* Zero-cost static refinement: split candidates whose structural PI
-   supports are non-empty and disjoint — such pairs can only be equivalent
-   if semantically input-free, which their structure contradicts.  Runs
-   before each pass so pairs arising from earlier splits are caught;
-   [Partition.refine_class] bumps the version and records moves, so the
-   suspect/strict protocol covers these splits like any other. *)
+(* Zero-cost static splits before each pass ({!Support.static_prefilter}). *)
 let static_prefilter ctx partition =
-  if not ctx.static_filter then 0
-  else begin
-    let support = Lazy.force ctx.support in
-    List.fold_left
-      (fun acc cls ->
-        if Support.prefilter_class support partition cls then begin
-          ctx.n_static <- ctx.n_static + 1;
-          acc + 1
-        end
-        else acc)
-      0
-      (Partition.multi_member_classes partition)
-  end
+  let n = Support.static_prefilter ~enabled:ctx.static_filter ctx.support partition in
+  ctx.n_static <- ctx.n_static + n;
+  n
 
 let norm ctx f pol = if pol then Bdd.mk_not ctx.m f else f
 
@@ -283,34 +268,6 @@ let nu_builder ~clamp_size ctx partition q subst =
     let f = nu_node id in
     if Partition.polarity partition id then Bdd.mk_not m f else f
 
-(* One application of Equation (3): split classes whose members' next-state
-   functions differ on some state satisfying Q.  Returns true when any
-   class split.  Legacy pairwise comparison within each class; kept for
-   benchmarking and the equal-fixed-point cross-check. *)
-let refine_once_pairwise ?(clamp_size = 2_000) ctx partition =
-  if static_prefilter ctx partition > 0 then true
-  else
-  let m = ctx.m in
-  let subst = if ctx.use_fundep then fundep_subst ctx partition else None in
-  let q = correspondence_condition ctx partition subst in
-  if Bdd.is_false q then false
-  else begin
-    let nu_of = nu_builder ~clamp_size ctx partition q subst in
-    let changed = ref false in
-    List.iter
-      (fun cls ->
-        note ctx;
-        let equal rep id =
-          let frep = nu_of rep and fid = nu_of id in
-          Bdd.equal frep fid
-          || Bdd.is_false (Bdd.mk_and m q (Bdd.mk_xor m frep fid))
-        in
-        if Partition.refine_class partition cls ~equal then changed := true)
-      (Partition.multi_member_classes partition);
-    note ctx;
-    !changed
-  end
-
 (* Extract one counterexample pattern from a pair of class members whose
    nu functions differ modulo Q: a satisfying assignment of
    Q /\ (nu_a xor nu_b) over (x1, s, x2), converted into the *next* frame's
@@ -353,8 +310,8 @@ type outcome =
 
 (* One batched sweep: each suspect class is refined in a single scan by
    the canonical key [Bdd.id (nu /\ Q)] — members are Q-equivalent iff
-   their conjunctions with Q are the same BDD — instead of a quadratic
-   pairwise comparison.  Split classes contribute one counterexample
+   their conjunctions with Q are the same BDD — instead of comparing every
+   member with every other.  Split classes contribute one counterexample
    pattern to the pool, flushed at the start of the next sweep (and when
    full) so cheap bit-parallel simulation pre-splits classes before any
    further BDD work.  [trust] enables the cone-based dirty skip; the

@@ -34,11 +34,6 @@
      re-proves every stale class at the current version before the fixed
      point is reported.
 
-   The legacy one-query-per-pair scan is kept as
-   [refine_once_pairwise] / [refine_initial_pairwise]: it computes the
-   same fixed point (property-tested) and anchors the benchmark
-   comparison.
-
    Eq.(3) sweeps are scheduled through a {!Parsweep} pool: the class
    checks of one round are independent given a frozen partition
    snapshot, so they are sharded across worker domains, each owning a
@@ -55,9 +50,9 @@
 exception Budget_exceeded of string
 
 (* Private per-lane solving state: a full copy of the k+1-frame
-   unrolling with its own selector tables and Q-assumption cache.  Lane
-   0 aliases the context's primary solver (the coordinator participates
-   in its own pool), so a 1-job context allocates nothing extra. *)
+   unrolling with its own selector tables and Q-assumption cache.  Every
+   lane, the coordinator's lane 0 included, is built by the same
+   constructor. *)
 type wstate = {
   w_solver : Sat.t;
   w_frames : (int -> Sat.Lit.t) array;
@@ -69,9 +64,8 @@ type wstate = {
   mutable w_q : (int * Sat.Lit.t list) option; (* per-version Q selectors *)
 }
 
-(* Aggregated solver-work profile of a context: live persistent solvers
-   are harvested on demand, the throwaway solvers of the non-incremental
-   mode accumulate into the context's atomics as they are discarded. *)
+(* Aggregated solver-work profile of a context, harvested on demand from
+   the live persistent solvers. *)
 type profile = {
   pr_conflicts : int;
   pr_propagations : int;
@@ -85,12 +79,8 @@ type profile = {
 type ctx = {
   p : Product.t;
   k : int; (* induction depth; 1 = the paper *)
-  solver : Sat.t; (* the k+1-frame unrolling *)
-  frames : (int -> Sat.Lit.t) array; (* frames.(i) for i = 0..k: lit maps *)
   solver0 : Sat.t; (* the initialized unrolling: frames 0..k-1 from s0 *)
   init_frames : (int -> Sat.Lit.t) array;
-  eq_sel : (int * int * int, int) Hashtbl.t; (* (frame, la, lb) selectors *)
-  diff_sel : (int * int, int) Hashtbl.t; (* last-frame difference selectors *)
   diff_sel0 : (int * int * int, int) Hashtbl.t; (* (frame, la, lb) *)
   sat_calls : int Atomic.t;
       (* shared across lanes: every solve reserves a slot *before* it is
@@ -104,25 +94,15 @@ type ctx = {
   support : Support.t Lazy.t; (* structural cones for dirty scheduling *)
   proved_at : (int, int) Hashtbl.t; (* class -> version proven stable *)
   init_clean : (int, int) Hashtbl.t; (* class -> frames proven clean from s0 *)
-  mutable q_cache : (int * Sat.Lit.t list) option; (* per-version Q selectors *)
   mutable n_batched : int; (* batched class solves issued *)
   mutable n_cache_hits : int; (* classes skipped by the UNSAT cache *)
-  jobs : int; (* worker lanes for Eq.(3) sweeps *)
-  sched : wstate Parsweep.t; (* persistent pool; lane 0 = primary solver *)
+  sched : wstate Parsweep.t; (* persistent pool, one unrolling per lane *)
   static_filter : bool; (* split support-disjoint members before solving *)
   mutable n_static : int; (* classes split by the static prefilter *)
-  incremental : bool;
-      (* true: persistent solvers, activation-released staging, failed-core
-         pruning and cross-lane clause sharing; false: every class solve
-         re-encodes into a throwaway solver (the A/B baseline) *)
   base_vars : int;
       (* variables of the shared k+1-frame unrolling — identical in every
          lane by determinism, and the horizon below which learned clauses
          are sound to exchange *)
-  acc_conflicts : int Atomic.t; (* counters of discarded throwaway solvers *)
-  acc_propagations : int Atomic.t;
-  acc_restarts : int Atomic.t;
-  acc_vars : int Atomic.t;
   reused_clauses : int Atomic.t;
   mutable shared_clauses : int;
   mutable core_prunes : int;
@@ -162,13 +142,29 @@ let unroll solver aig ~n ~first_latch_var =
   frames
 
 let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.none)
-    ?(static_filter = false) ?(incremental = true) p =
+    ?(static_filter = false) p =
   if k < 1 then invalid_arg "Engine_sat.make: k must be >= 1";
   let aig = p.Product.aig in
-  let solver = Sat.create () in
-  let s_vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var solver) in
-  let frames = unroll solver aig ~n:(k + 1) ~first_latch_var:(fun i -> s_vars.(i)) in
-  let base_vars = Sat.num_vars solver in
+  (* Each lane builds its private copy of the free-state unrolling inside
+     its own domain; [unroll] is deterministic, so every lane's frame maps
+     use identical variable numbering. *)
+  let sched =
+    Parsweep.create ~jobs ~init:(fun _ ->
+        let s = Sat.create () in
+        let vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var s) in
+        let fr = unroll s aig ~n:(k + 1) ~first_latch_var:(fun i -> vars.(i)) in
+        {
+          w_solver = s;
+          w_frames = fr;
+          w_eq_sel = Hashtbl.create 256;
+          w_diff_sel = Hashtbl.create 256;
+          w_sel_pair = Hashtbl.create 256;
+          w_q = None;
+        })
+  in
+  (* the coordinator's lane is built up front: its fresh unrolling fixes
+     the clause-sharing horizon *)
+  let base_vars = Sat.num_vars (Parsweep.state0 sched).w_solver in
   let solver0 = Sat.create () in
   let s0_vars =
     Array.init (Aig.num_latches aig) (fun i ->
@@ -177,54 +173,11 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
         v)
   in
   let init_frames = unroll solver0 aig ~n:k ~first_latch_var:(fun i -> s0_vars.(i)) in
-  let eq_sel = Hashtbl.create 256 in
-  let diff_sel = Hashtbl.create 256 in
-  (* Lane 0 reuses the primary solver (the coordinator works inside its
-     own pool); other lanes build a private copy of the unrolling inside
-     their own domain.  [unroll] is deterministic, so every lane's frame
-     maps use identical variable numbering.  The non-incremental baseline
-     never touches lane state — its lanes get an empty placeholder rather
-     than an unrolling nothing would reuse. *)
-  let fresh_lane () =
-    if not incremental then
-      {
-        w_solver = Sat.create ();
-        w_frames = [||];
-        w_eq_sel = Hashtbl.create 1;
-        w_diff_sel = Hashtbl.create 1;
-        w_sel_pair = Hashtbl.create 1;
-        w_q = None;
-      }
-    else begin
-      let s = Sat.create () in
-      let vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var s) in
-      let fr = unroll s aig ~n:(k + 1) ~first_latch_var:(fun i -> vars.(i)) in
-      {
-        w_solver = s;
-        w_frames = fr;
-        w_eq_sel = Hashtbl.create 256;
-        w_diff_sel = Hashtbl.create 256;
-        w_sel_pair = Hashtbl.create 256;
-        w_q = None;
-      }
-    end
-  in
-  let sched =
-    Parsweep.create ~jobs ~init:(fun lane ->
-        if lane = 0 then
-          { w_solver = solver; w_frames = frames; w_eq_sel = eq_sel;
-            w_diff_sel = diff_sel; w_sel_pair = Hashtbl.create 256; w_q = None }
-        else fresh_lane ())
-  in
   {
     p;
     k;
-    solver;
-    frames;
     solver0;
     init_frames;
-    eq_sel;
-    diff_sel;
     diff_sel0 = Hashtbl.create 256;
     sat_calls = Atomic.make 0;
     max_sat_calls;
@@ -234,19 +187,12 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
     support = lazy (Support.make aig);
     proved_at = Hashtbl.create 256;
     init_clean = Hashtbl.create 256;
-    q_cache = None;
     n_batched = 0;
     n_cache_hits = 0;
-    jobs = max 1 jobs;
     sched;
     static_filter;
     n_static = 0;
-    incremental;
     base_vars;
-    acc_conflicts = Atomic.make 0;
-    acc_propagations = Atomic.make 0;
-    acc_restarts = Atomic.make 0;
-    acc_vars = Atomic.make 0;
     reused_clauses = Atomic.make 0;
     shared_clauses = 0;
     core_prunes = 0;
@@ -257,36 +203,23 @@ let make ?(max_sat_calls = max_int) ?(k = 1) ?(jobs = 1) ?(deadline = Deadline.n
 let shutdown ctx = Parsweep.shutdown ctx.sched
 let sched_stats ctx = Parsweep.stats ctx.sched
 
-(* The context's solver-work profile.  Persistent solvers are read live —
-   the primary pair plus every initialized worker lane (lane 0 aliases
-   the primary solver and is skipped) — and the discarded throwaway
-   solvers of the non-incremental baseline have already been folded into
-   the accumulators.  Coordinator-only, between rounds. *)
+(* The context's solver-work profile, read live from the initialized
+   unrolling and every lane built so far.  Coordinator-only, between
+   rounds. *)
 let profile ctx =
-  let lane_solvers =
-    List.filter_map
-      (fun w -> if w.w_solver == ctx.solver then None else Some w.w_solver)
-      (Parsweep.initialized_states ctx.sched)
+  let solvers =
+    ctx.solver0 :: List.map (fun w -> w.w_solver) (Parsweep.initialized_states ctx.sched)
   in
-  let solvers = ctx.solver :: ctx.solver0 :: lane_solvers in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 solvers in
   {
-    pr_conflicts = Atomic.get ctx.acc_conflicts + sum Sat.num_conflicts;
-    pr_propagations = Atomic.get ctx.acc_propagations + sum Sat.num_propagations;
-    pr_restarts = Atomic.get ctx.acc_restarts + sum Sat.num_restarts;
-    pr_encoded_vars = Atomic.get ctx.acc_vars + sum Sat.num_vars;
+    pr_conflicts = sum Sat.num_conflicts;
+    pr_propagations = sum Sat.num_propagations;
+    pr_restarts = sum Sat.num_restarts;
+    pr_encoded_vars = sum Sat.num_vars;
     pr_reused_clauses = Atomic.get ctx.reused_clauses;
     pr_shared_clauses = ctx.shared_clauses;
     pr_core_prunes = ctx.core_prunes;
   }
-
-(* Fold a throwaway solver's counters into the accumulators before it is
-   dropped; runs on worker lanes, hence the atomics. *)
-let retire_throwaway ctx s =
-  ignore (Atomic.fetch_and_add ctx.acc_conflicts (Sat.num_conflicts s));
-  ignore (Atomic.fetch_and_add ctx.acc_propagations (Sat.num_propagations s));
-  ignore (Atomic.fetch_and_add ctx.acc_restarts (Sat.num_restarts s));
-  ignore (Atomic.fetch_and_add ctx.acc_vars (Sat.num_vars s))
 
 let norm_key la lb = if la <= lb then (la, lb) else (lb, la)
 
@@ -326,12 +259,6 @@ let check_budget ctx =
     raise (Budget_exceeded "sat calls")
   end
 
-(* Split every class according to a model's valuation of [frame_lit]. *)
-let bulk_split partition frame_lit solver =
-  ignore
-    (Partition.refine_by_key partition (fun id ->
-         Sat.value_lit solver (frame_lit (Partition.norm_lit partition id))))
-
 (* Pack the model's valuation of one frame (its state and inputs) into the
    pattern pool; a later flush replays it against every class at once. *)
 let pool_model ctx solver lit_of =
@@ -341,144 +268,11 @@ let pool_model ctx solver lit_of =
     ~latch:(fun i ->
       Sat.value_lit solver (lit_of (Aig.lit_of_node (Aig.latch_node aig i))))
 
-(* Static candidate prefilter: split members whose PI support (closed
-   through latches) is non-empty and disjoint from their subgroup
-   representative's — zero solver calls.  Run once per pass so splits by
-   other means re-expose new disjoint representative pairs.  Applied by
-   the batched AND the pairwise scans, so both compute the same fixed
-   point whatever the [static_filter] setting. *)
+(* Zero-cost static splits before each pass ({!Support.static_prefilter}). *)
 let static_prefilter ctx partition =
-  if not ctx.static_filter then 0
-  else begin
-    let support = Lazy.force ctx.support in
-    List.fold_left
-      (fun acc cls ->
-        if Support.prefilter_class support partition cls then begin
-          ctx.n_static <- ctx.n_static + 1;
-          acc + 1
-        end
-        else acc)
-      0
-      (Partition.multi_member_classes partition)
-  end
-
-(* --- legacy pairwise scans (kept for benchmarking and cross-checks) -------- *)
-
-(* Initial-state refinement: classes must agree on every input in each of
-   the first k frames from s0 (Equation 2 for k = 1). *)
-let refine_initial_pairwise ctx partition =
-  ignore (static_prefilter ctx partition);
-  let rec clean_pass () =
-    let violated =
-      List.find_map
-        (fun cls ->
-          match Partition.members partition cls with
-          | [] | [ _ ] -> None
-          | rep :: rest ->
-            let check_frame frame =
-              let lit_of = ctx.init_frames.(frame) in
-              let a = lit_of (Partition.norm_lit partition rep) in
-              List.find_map
-                (fun id ->
-                  let b = lit_of (Partition.norm_lit partition id) in
-                  if a = b then None
-                  else begin
-                    let la, lb =
-                      norm_key (Partition.norm_lit partition rep)
-                        (Partition.norm_lit partition id)
-                    in
-                    let dsel =
-                      difference_selector ctx.solver0 ctx.diff_sel0 (frame, la, lb) a b
-                    in
-                    check_budget ctx;
-                    match Sat.solve ~assumptions:[ dsel ] ctx.solver0 with
-                    | Sat.Unsat -> None
-                    | Sat.Sat -> Some frame
-                  end)
-                rest
-            in
-            let rec frames frame =
-              if frame >= ctx.k then None
-              else match check_frame frame with Some f -> Some f | None -> frames (frame + 1)
-            in
-            frames 0)
-        (Partition.multi_member_classes partition)
-    in
-    match violated with
-    | Some frame ->
-      bulk_split partition ctx.init_frames.(frame) ctx.solver0;
-      clean_pass ()
-    | None -> ()
-  in
-  clean_pass ()
-
-(* The Q assumptions of the current partition: one equality selector per
-   (representative, member) pair and per assumed frame 1..k. *)
-let q_assumptions ctx partition =
-  List.concat_map
-    (fun (rep, id) ->
-      let la = Partition.norm_lit partition rep and lb = Partition.norm_lit partition id in
-      List.filter_map
-        (fun frame ->
-          let lit_of = ctx.frames.(frame) in
-          let a = lit_of la and b = lit_of lb in
-          if a = b then None
-          else
-            let ka, kb = norm_key la lb in
-            Some (equality_selector ctx.solver ctx.eq_sel (frame, ka, kb) a b))
-        (List.init ctx.k (fun i -> i)))
-    (Partition.constraint_pairs partition)
-
-(* Q selectors are rebuilt only when the partition version moved: within a
-   sweep (and across the trust/strict passes of one version) the cached
-   list is reused by every class solve on the primary solver. *)
-let q_of ctx partition =
-  let v = Partition.version partition in
-  match ctx.q_cache with
-  | Some (v', q) when v' = v -> q
-  | _ ->
-    let q = q_assumptions ctx partition in
-    ctx.q_cache <- Some (v, q);
-    q
-
-(* One refinement event (Equation 3 generalized to k frames): find a pair
-   whose frame-(k+1) values differ on some run conforming to Q for k
-   frames; split all classes with the witness.  Returns false when a full
-   scan finds no violation. *)
-let refine_once_pairwise ctx partition =
-  if static_prefilter ctx partition > 0 then true
-  else
-  let q = q_of ctx partition in
-  let last = ctx.frames.(ctx.k) in
-  let violated =
-    List.find_map
-      (fun cls ->
-        match Partition.members partition cls with
-        | [] | [ _ ] -> None
-        | rep :: rest ->
-          let a = last (Partition.norm_lit partition rep) in
-          List.find_map
-            (fun id ->
-              let b = last (Partition.norm_lit partition id) in
-              if a = b then None
-              else begin
-                let key =
-                  norm_key (Partition.norm_lit partition rep) (Partition.norm_lit partition id)
-                in
-                let dsel = difference_selector ctx.solver ctx.diff_sel key a b in
-                check_budget ctx;
-                match Sat.solve ~assumptions:(dsel :: q) ctx.solver with
-                | Sat.Unsat -> None
-                | Sat.Sat -> Some ()
-              end)
-            rest)
-      (Partition.multi_member_classes partition)
-  in
-  match violated with
-  | Some () ->
-    bulk_split partition last ctx.solver;
-    true
-  | None -> false
+  let n = Support.static_prefilter ~enabled:ctx.static_filter ctx.support partition in
+  ctx.n_static <- ctx.n_static + n;
+  n
 
 (* --- batched sweeps ----------------------------------------------------------- *)
 
@@ -487,14 +281,11 @@ let refine_once_pairwise ctx partition =
    selectors.  Counterexamples are pooled and applied in bit-parallel
    batches between passes.  An UNSAT answer here is permanent — solver0
    has no removable assumptions and class member sets only shrink — so
-   proven (class, frame) prefixes are cached in [init_clean].
-
-   Incremental mode stages the OR through an activation-guarded clause on
-   the persistent initialized solver and {!Sat.release}s the guard after
-   the answer; the baseline re-encodes an initialized (frame+1)-frame
-   unrolling into a throwaway solver per obligation. *)
+   proven (class, frame) prefixes are cached in [init_clean].  The OR is
+   staged through an activation-guarded clause on the persistent
+   initialized solver, and {!Sat.release} retires the guard after the
+   answer. *)
 let refine_initial ctx partition =
-  let aig = ctx.p.Product.aig in
   let progress = ref true in
   while !progress do
     progress := false;
@@ -528,65 +319,25 @@ let refine_initial ctx partition =
                 | diffs ->
                   check_budget ctx;
                   ctx.n_batched <- ctx.n_batched + 1;
-                  let answer =
-                    if ctx.incremental then begin
-                      ignore
-                        (Atomic.fetch_and_add ctx.reused_clauses
-                           (Sat.num_clauses ctx.solver0));
-                      let dsels =
-                        List.map
-                          (fun lb ->
-                            let ka, kb = norm_key la lb in
-                            difference_selector ctx.solver0 ctx.diff_sel0
-                              (frame, ka, kb) a (lit_of lb))
-                          diffs
-                      in
-                      let g = Sat.new_var ctx.solver0 in
-                      Sat.add_clause ~act:g ctx.solver0 dsels;
-                      let answer =
-                        Sat.solve ~assumptions:[ Sat.Lit.pos g ] ctx.solver0
-                      in
-                      (* read the model before releasing the staging
-                         guard: the release backtracks the trail *)
-                      (match answer with
-                      | Sat.Unsat -> ()
-                      | Sat.Sat -> pool_model ctx ctx.solver0 lit_of);
-                      Sat.release ctx.solver0 g;
-                      answer
-                    end
-                    else begin
-                      let s = Sat.create () in
-                      let svars =
-                        Array.init (Aig.num_latches aig) (fun i ->
-                            let v = Sat.new_var s in
-                            Sat.add_clause s [ Sat.Lit.make v (Aig.latch_init aig i) ];
-                            v)
-                      in
-                      let fr =
-                        unroll s aig ~n:(frame + 1) ~first_latch_var:(fun i -> svars.(i))
-                      in
-                      let lof = fr.(frame) in
-                      let fa = lof la in
-                      let ds =
-                        List.map
-                          (fun lb ->
-                            let fb = lof lb in
-                            let v = Sat.new_var s in
-                            Sat.add_clause s [ Sat.Lit.neg v; fa; fb ];
-                            Sat.add_clause s
-                              [ Sat.Lit.neg v; Sat.Lit.negate fa; Sat.Lit.negate fb ];
-                            Sat.Lit.pos v)
-                          diffs
-                      in
-                      Sat.add_clause s ds;
-                      let answer = Sat.solve s in
-                      (match answer with
-                      | Sat.Unsat -> ()
-                      | Sat.Sat -> pool_model ctx s lof);
-                      retire_throwaway ctx s;
-                      answer
-                    end
+                  ignore
+                    (Atomic.fetch_and_add ctx.reused_clauses (Sat.num_clauses ctx.solver0));
+                  let dsels =
+                    List.map
+                      (fun lb ->
+                        let ka, kb = norm_key la lb in
+                        difference_selector ctx.solver0 ctx.diff_sel0 (frame, ka, kb) a
+                          (lit_of lb))
+                      diffs
                   in
+                  let g = Sat.new_var ctx.solver0 in
+                  Sat.add_clause ~act:g ctx.solver0 dsels;
+                  let answer = Sat.solve ~assumptions:[ Sat.Lit.pos g ] ctx.solver0 in
+                  (* read the model before releasing the staging guard: the
+                     release backtracks the trail *)
+                  (match answer with
+                  | Sat.Unsat -> ()
+                  | Sat.Sat -> pool_model ctx ctx.solver0 lit_of);
+                  Sat.release ctx.solver0 g;
                   (match answer with
                   | Sat.Unsat ->
                     Hashtbl.replace ctx.init_clean cls (frame + 1);
@@ -705,70 +456,6 @@ let solve_class ctx w ~version ~pairs task =
     Sat.release w.w_solver g;
     out
 
-(* The non-incremental baseline: the same class obligation re-encoded
-   from scratch into a throwaway solver — a fresh k+1-frame unrolling
-   with the frozen Q as hard equality clauses on frames 0..k-1 and the
-   class's difference OR as a hard clause — solved without assumptions,
-   its counters folded into the accumulators, then dropped.  The trivial
-   exit reads the persistent frame maps (pure lookups), mirroring the
-   incremental path's zero-cost case and its budget accounting. *)
-let solve_class_fresh ctx ~pairs task =
-  let aig = ctx.p.Product.aig in
-  let last0 = ctx.frames.(ctx.k) in
-  let la = task.t_lits.(0) in
-  let a0 = last0 la in
-  let nontrivial = ref false in
-  for i = 1 to Array.length task.t_lits - 1 do
-    if last0 task.t_lits.(i) <> a0 then nontrivial := true
-  done;
-  if not !nontrivial then O_trivial
-  else begin
-    check_budget ctx;
-    let s = Sat.create () in
-    let vars = Array.init (Aig.num_latches aig) (fun _ -> Sat.new_var s) in
-    let fr = unroll s aig ~n:(ctx.k + 1) ~first_latch_var:(fun i -> vars.(i)) in
-    List.iter
-      (fun (pa, pb) ->
-        for frame = 0 to ctx.k - 1 do
-          let lit_of = fr.(frame) in
-          let a = lit_of pa and b = lit_of pb in
-          if a <> b then begin
-            Sat.add_clause s [ Sat.Lit.negate a; b ];
-            Sat.add_clause s [ a; Sat.Lit.negate b ]
-          end
-        done)
-      pairs;
-    let last = fr.(ctx.k) in
-    let a = last la in
-    let ds = ref [] in
-    for i = Array.length task.t_lits - 1 downto 1 do
-      let b = last task.t_lits.(i) in
-      if a <> b then begin
-        let v = Sat.new_var s in
-        Sat.add_clause s [ Sat.Lit.neg v; a; b ];
-        Sat.add_clause s [ Sat.Lit.neg v; Sat.Lit.negate a; Sat.Lit.negate b ];
-        ds := Sat.Lit.pos v :: !ds
-      end
-    done;
-    Sat.add_clause s !ds;
-    let answer = Sat.solve s in
-    let out =
-      match answer with
-      | Sat.Unsat -> O_stable []
-      | Sat.Sat ->
-        let pi =
-          Array.map (fun nd -> Sat.value_lit s (last (Aig.lit_of_node nd))) ctx.pi_nodes
-        in
-        let latch =
-          Array.init (Aig.num_latches aig) (fun i ->
-              Sat.value_lit s (last (Aig.lit_of_node (Aig.latch_node aig i))))
-        in
-        O_witness (pi, latch)
-    in
-    retire_throwaway ctx s;
-    out
-  end
-
 (* Cross-lane learned-clause exchange, run by the coordinator at the
    sweep merge point (no batch in flight).  Each lane exports its short,
    low-LBD learned clauses over the shared base encoding — selector and
@@ -866,14 +553,11 @@ let sweep ctx partition ~trust =
                pairs — so the class is re-proved without a solve.  A
                proof, not a heuristic: valid in strict passes as well. *)
             let pruned =
-              ctx.incremental
-              && (match Hashtbl.find_opt ctx.stable_cores cls with
-                 | Some (old_lits, core) ->
-                   old_lits = lits
-                   && List.for_all
-                        (fun (la, lb) -> Partition.lits_equal partition la lb)
-                        core
-                 | None -> false)
+              match Hashtbl.find_opt ctx.stable_cores cls with
+              | Some (old_lits, core) ->
+                old_lits = lits
+                && List.for_all (fun (la, lb) -> Partition.lits_equal partition la lb) core
+              | None -> false
             in
             if pruned then begin
               ctx.core_prunes <- ctx.core_prunes + 1;
@@ -885,13 +569,9 @@ let sweep ctx partition ~trust =
     |> Array.of_list
   in
   let outcomes =
-    Parsweep.map ctx.sched
-      ~f:(fun w task ->
-        if ctx.incremental then solve_class ctx w ~version:vq ~pairs task
-        else solve_class_fresh ctx ~pairs task)
-      tasks
+    Parsweep.map ctx.sched ~f:(fun w task -> solve_class ctx w ~version:vq ~pairs task) tasks
   in
-  if ctx.incremental then share_clauses ctx;
+  share_clauses ctx;
   Array.iteri
     (fun i outcome ->
       let cls = tasks.(i).t_cls in
@@ -900,8 +580,7 @@ let sweep ctx partition ~trust =
       | O_stable core ->
         ctx.n_batched <- ctx.n_batched + 1;
         Hashtbl.replace ctx.proved_at cls vq;
-        if ctx.incremental then
-          Hashtbl.replace ctx.stable_cores cls (tasks.(i).t_lits, core)
+        Hashtbl.replace ctx.stable_cores cls (tasks.(i).t_lits, core)
       | O_witness (pi, latch) ->
         ctx.n_batched <- ctx.n_batched + 1;
         if Simpool.is_full ctx.pool then flush ();

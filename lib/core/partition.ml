@@ -133,9 +133,9 @@ let refine_by_key t key =
   done;
   !created
 
-(* Split one class using a pairwise test against subgroup representatives:
-   a member joins the first subgroup whose representative it matches.
-   Returns true if the class split. *)
+(* Split one class by testing each member against the subgroup
+   representatives: a member joins the first subgroup whose representative
+   it matches.  Returns true if the class split. *)
 let refine_class t cls ~equal =
   match t.members.(cls) with
   | [] | [ _ ] -> false

@@ -253,6 +253,11 @@ module Support : sig
       representative; [true] when the class split.  Costs no solver or
       BDD work and never fabricates an equivalence. *)
 
+  val static_prefilter : enabled:bool -> t Lazy.t -> Partition.t -> int
+  (** One {!prefilter_class} pass over every multi-member class; returns
+      the number of classes split.  [enabled = false] returns 0 without
+      forcing the cones.  Both engines run it before every pass. *)
+
   val suspect : t -> Partition.t -> int -> proved_at:int -> bool
   (** Must the class be re-examined after being proven stable at partition
       version [proved_at]?  Conservative in the direction engines handle:
@@ -427,7 +432,7 @@ module Engine_bdd : sig
     mutable n_cache_hits : int;  (** classes skipped by the stability cache *)
     static_filter : bool;
         (** split PI-support-incompatible candidates for free before every
-            pass (see {!Support.prefilter_class}) *)
+            pass (see {!Support.static_prefilter}) *)
     mutable n_static : int;  (** classes split by the static prefilter *)
     sched : unit Parsweep.t;
         (** single-lane scheduler: hash-consing is shared-mutable, so
@@ -457,10 +462,6 @@ module Engine_bdd : sig
       class split.  [clamp_size] bounds intermediate nu sizes before the
       complement of Q is applied as a don't-care set (Section 4). *)
 
-  val refine_once_pairwise : ?clamp_size:int -> ctx -> Partition.t -> bool
-  (** The legacy one-comparison-per-pair pass; computes the same fixed
-      point (property-tested) and anchors the benchmark comparison. *)
-
   val correspondence_condition :
     ?memo:(int, Bdd.t) Hashtbl.t -> ctx -> Partition.t -> Bdd.t option array option -> Bdd.t
   val fundep_subst : ?max_fn_size:int -> ctx -> Partition.t -> Bdd.t option array option
@@ -472,15 +473,10 @@ module Engine_bdd : sig
   val norm_ini : ctx -> Partition.t -> int -> Bdd.t
 end
 
-(** SAT refinement engine with counterexample-driven bulk splitting and an
+(** SAT refinement engine with batched, incremental class solves and an
     optional k-inductive unrolling (the paper's future-work direction). *)
 module Engine_sat : sig
   exception Budget_exceeded of string
-
-  type wstate
-  (** Private per-lane solving state: a copy of the unrolled product CNF
-      with its own selector tables and Q cache.  Lane 0 aliases the
-      context's primary solver. *)
 
   type profile = {
     pr_conflicts : int;
@@ -488,68 +484,21 @@ module Engine_sat : sig
     pr_restarts : int;
     pr_encoded_vars : int;  (** SAT variables created, across every solver *)
     pr_reused_clauses : int;
-        (** clauses already in place when a solve was issued (0 in
-            non-incremental mode: throwaway solvers start empty) *)
+        (** clauses already in place when a solve was issued — encoding
+            and learning the persistent solvers did not redo *)
     pr_shared_clauses : int;  (** learned clauses imported across sweep lanes *)
     pr_core_prunes : int;  (** class re-solves skipped by failed-core transfer *)
   }
-  (** Aggregated solver-work profile of a context: persistent solvers are
-      read live, discarded throwaway solvers of the non-incremental mode
-      have been folded into accumulators as they were dropped. *)
+  (** Aggregated solver-work profile of a context, read live from its
+      persistent solvers: the initialized unrolling and every sweep
+      lane built so far. *)
 
-  type ctx = {
-    p : Product.t;
-    k : int;  (** induction depth; 1 = the paper's Equation (3) *)
-    solver : Sat.t;  (** the k+1-frame unrolling *)
-    frames : (int -> Sat.Lit.t) array;
-    solver0 : Sat.t;  (** frames 0..k-1 from the initial state *)
-    init_frames : (int -> Sat.Lit.t) array;
-    eq_sel : (int * int * int, int) Hashtbl.t;
-    diff_sel : (int * int, int) Hashtbl.t;
-    diff_sel0 : (int * int * int, int) Hashtbl.t;
-    sat_calls : int Atomic.t;
-        (** shared across worker lanes; every solve reserves a slot before
-            it is issued (see {!refine_once}) *)
-    max_sat_calls : int;
-    deadline : Deadline.t;  (** wall-clock budget, polled per class solve *)
-    pool : Simpool.t;
-    pi_nodes : int array;
-    support : Support.t Lazy.t;
-    proved_at : (int, int) Hashtbl.t;
-    init_clean : (int, int) Hashtbl.t;
-    mutable q_cache : (int * Sat.Lit.t list) option;
-    mutable n_batched : int;  (** batched class solves issued *)
-    mutable n_cache_hits : int;  (** classes skipped by the UNSAT cache *)
-    jobs : int;  (** worker lanes for Eq.(3) sweeps *)
-    sched : wstate Parsweep.t;
-    static_filter : bool;
-        (** split PI-support-incompatible candidates for free before every
-            pass (see {!Support.prefilter_class}) *)
-    mutable n_static : int;  (** classes split by the static prefilter *)
-    incremental : bool;
-        (** [true]: persistent solvers, activation-released staging,
-            failed-core pruning and cross-lane clause sharing; [false]:
-            every class solve re-encodes into a throwaway solver (the A/B
-            baseline) *)
-    base_vars : int;
-        (** variables of the shared k+1-frame unrolling — identical in
-            every lane by determinism, and the horizon below which learned
-            clauses are sound to exchange *)
-    acc_conflicts : int Atomic.t;
-        (** counters harvested from discarded throwaway solvers *)
-    acc_propagations : int Atomic.t;
-    acc_restarts : int Atomic.t;
-    acc_vars : int Atomic.t;
-    reused_clauses : int Atomic.t;
-    mutable shared_clauses : int;
-    mutable core_prunes : int;
-    shared_seen : (Sat.Lit.t list, unit) Hashtbl.t;
-        (** canonical forms of clauses already broadcast between lanes *)
-    stable_cores : (int, int array * (int * int) list) Hashtbl.t;
-        (** class -> (member literals at proof time, failed-core pairs):
-            an UNSAT proof transfers to any later version in which the
-            member list is unchanged and every core equality still holds *)
-  }
+  type ctx
+  (** One engine instance over a product machine: the initialized
+      unrolling for Equation (2), a {!Parsweep} pool whose every lane
+      owns a private persistent k+1-frame unrolling for Equation (3),
+      the counterexample pool, the dirty-class and failed-core caches
+      and the shared call budget. *)
 
   val make :
     ?max_sat_calls:int ->
@@ -557,15 +506,14 @@ module Engine_sat : sig
     ?jobs:int ->
     ?deadline:Deadline.t ->
     ?static_filter:bool ->
-    ?incremental:bool ->
     Product.t ->
     ctx
-  (** [jobs] worker lanes solve the Eq.(3) sweep rounds; each lane > 0
-      owns a private copy of the unrolled product CNF built inside its
-      own domain.  Default 1 (sequential, no domains spawned).
-      [incremental] (default [true]) keeps every solver alive across all
-      rounds and iterations; [false] selects the re-encode-per-obligation
-      baseline used for A/B comparison. *)
+  (** [jobs] worker lanes solve the Eq.(3) sweep rounds; lane 0 is the
+      caller's and is built here, every other lane builds its private
+      copy of the unrolled product CNF inside its own domain.  Default 1
+      (sequential, no domains spawned).  Every solver lives across all
+      rounds and iterations.  [static_filter] runs
+      {!Support.static_prefilter} before every pass. *)
 
   val shutdown : ctx -> unit
   (** Join the sweep pool's worker domains; idempotent. *)
@@ -593,11 +541,6 @@ module Engine_sat : sig
       counter (and polls the shared deadline flag) before issuing a
       solve, so a parallel round overshoots [max_sat_calls] by at most
       the [jobs] solves already in flight. *)
-
-  val refine_initial_pairwise : ctx -> Partition.t -> unit
-  val refine_once_pairwise : ctx -> Partition.t -> bool
-  (** The legacy one-query-per-pair scans; same fixed point
-      (property-tested), kept for benchmarking. *)
 end
 
 (** Candidate-set extension by forward retiming with lag 1 (Fig. 3). *)
@@ -724,18 +667,6 @@ module Verify : sig
     sim_frames : int;
     use_ternary_seed : bool;
         (** Seed the partition with {!Ternseed.refine}.  Default true. *)
-    use_batched_sweeps : bool;
-        (** Use the batched class solves, counterexample pattern pool and
-            dirty-class scheduling (default true); [false] selects the
-            legacy pairwise scans, which compute the same fixed point. *)
-    use_incremental : bool;
-        (** Keep the SAT engine's solvers alive across the whole fixed
-            point — persistent clause databases, activation-released
-            staging, failed-core pruning and cross-lane learned-clause
-            sharing (default true); [false] re-encodes every class
-            obligation into a throwaway solver, the A/B baseline.  The
-            fixed point and verdict are identical either way
-            (property-tested).  The BDD engine ignores it. *)
     use_speculation : bool;
         (** Speculative reduction (default false, overridable via the
             SEQVER_SPECULATE environment variable): merge every candidate
@@ -841,8 +772,9 @@ module Verify : sig
     restarts : int;  (** SAT restarts, likewise *)
     encoded_vars : int;  (** SAT variables created, across every solver *)
     reused_clauses : int;
-        (** clauses already in place when a solve was issued — the work
-            incremental mode did not redo (0 with [use_incremental] off) *)
+        (** clauses already in place when a solve was issued — the
+            encoding and learning work the persistent solvers did not
+            redo *)
     shared_clauses : int;  (** learned clauses imported across sweep lanes *)
     core_prunes : int;
         (** class re-solves skipped by failed-assumption-core transfer *)

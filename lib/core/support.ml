@@ -117,6 +117,21 @@ let pi_compatible t a b =
 let prefilter_class t partition cls =
   Partition.refine_class partition cls ~equal:(fun rep id -> pi_compatible t rep id)
 
+(* One prefilter pass over every multi-member class, returning how many
+   split (0 without touching [t] when disabled).  Both engines run it
+   before each pass, so pairs that earlier splits expose are caught;
+   [Partition.refine_class] bumps the version and records moves, so the
+   suspect/strict protocol covers these splits like any other. *)
+let static_prefilter ~enabled t partition =
+  if not enabled then 0
+  else begin
+    let t = Lazy.force t in
+    List.fold_left
+      (fun acc cls -> if prefilter_class t partition cls then acc + 1 else acc)
+      0
+      (Partition.multi_member_classes partition)
+  end
+
 (* Must class [cls], proven stable at partition version [proved_at], be
    re-examined?  Yes when its own membership changed since, or when any
    node moved since then is structurally coupled to a member (either

@@ -24,14 +24,68 @@ let refine ?max_steps product partition =
     (* complementing a ternary value flips the defined bits only *)
     if Partition.polarity partition id then (mask, value lxor mask) else (mask, value)
   in
-  let compatible a b =
-    let ma, va = norm a in
-    let mb, vb = norm b in
-    ma land mb land (va lxor vb) = 0
+  (* Ternary simulation holds every input at X, so a primary input looks
+     compatible with everything.  But an input takes both values on every
+     frame, so a signal can only correspond to it when the input lies in
+     the signal's combinational cone. *)
+  let cone_pis = Hashtbl.create 64 in
+  let rec pis_of id =
+    match Hashtbl.find_opt cone_pis id with
+    | Some ps -> ps
+    | None ->
+      let ps =
+        match Aig.node aig id with
+        | Aig.Pi _ -> [ id ]
+        | Aig.Const | Aig.Latch _ -> []
+        | Aig.And (a, b) ->
+          List.sort_uniq compare (pis_of (Aig.node_of_lit a) @ pis_of (Aig.node_of_lit b))
+      in
+      Hashtbl.add cone_pis id ps;
+      ps
   in
+  let is_pi id = match Aig.node aig id with Aig.Pi _ -> true | _ -> false in
+  let compatible (a, ma, va) (b, mb, vb) =
+    ma land mb land (va lxor vb) = 0
+    && ((not (is_pi a)) || List.mem a (pis_of b))
+    && ((not (is_pi b)) || List.mem b (pis_of a))
+  in
+  (* Split each class into the connected components of its compatibility
+     graph: no member of one component is compatible with a member of
+     another, so every pair this separates differs on every run, and no
+     pair of the greatest fixed point is cut.  Compatibility is not
+     transitive, so grouping members by compatibility with a subgroup
+     representative would not have that guarantee. *)
+  let component = Hashtbl.create 64 in
   let split = ref 0 in
   List.iter
-    (fun cls -> if Partition.refine_class partition cls ~equal:compatible then incr split)
+    (fun cls ->
+      let mems =
+        Array.of_list
+          (List.map
+             (fun id ->
+               let m, v = norm id in
+               (id, m, v))
+             (Partition.members partition cls))
+      in
+      let root = Array.init (Array.length mems) Fun.id in
+      let rec find i =
+        if root.(i) = i then i
+        else begin
+          root.(i) <- root.(root.(i));
+          find root.(i)
+        end
+      in
+      Array.iteri
+        (fun i a ->
+          for j = 0 to i - 1 do
+            if compatible a mems.(j) then root.(find i) <- find j
+          done)
+        mems;
+      Array.iteri (fun i (id, _, _) -> Hashtbl.replace component id (find i)) mems;
+      if
+        Partition.refine_class partition cls ~equal:(fun a b ->
+            Hashtbl.find component a = Hashtbl.find component b)
+      then incr split)
     (Partition.multi_member_classes partition);
   !split
 

@@ -36,12 +36,6 @@ type options = {
   use_sim_seed : bool;
   sim_frames : int;
   use_ternary_seed : bool; (* split the partition by ternary signatures *)
-  use_batched_sweeps : bool; (* batched class solves + pool + dirty cache *)
-  use_incremental : bool;
-      (* persistent SAT solvers across the whole fixed point, with
-         activation-released staging, failed-core pruning and cross-lane
-         clause sharing; [false] re-encodes every obligation into a
-         throwaway solver (the A/B baseline).  BDD engine: ignored. *)
   use_speculation : bool;
       (* speculative reduction: merge every candidate class onto its
          representative, discharge the assumption obligations on the
@@ -106,8 +100,6 @@ let default_options =
     use_sim_seed = true;
     sim_frames = 16;
     use_ternary_seed = true;
-    use_batched_sweeps = true;
-    use_incremental = true;
     use_speculation = default_speculation ();
     use_analysis = false;
     use_fundep = true;
@@ -191,8 +183,7 @@ type stats = {
   encoded_vars : int; (* SAT variables created, across every solver *)
   reused_clauses : int;
       (* clauses already in place when a solve was issued — the encoding
-         and learning work the incremental mode did NOT redo (0 when
-         [use_incremental] is off: throwaway solvers start empty) *)
+         and learning work the persistent solvers did NOT redo *)
   shared_clauses : int; (* learned clauses imported across sweep lanes *)
   core_prunes : int; (* class re-solves skipped by failed-core transfer *)
   eq_pct : float; (* % of spec signals with an impl correspondence *)
@@ -383,13 +374,9 @@ let make_engine (options : options) deadline product pol =
       | Engine_bdd.Budget_exceeded msg -> raise (Budget msg)
       | Bdd.Limit_exceeded -> raise (Budget "bdd nodes")
     in
-    let refine_once =
-      if options.use_batched_sweeps then Engine_bdd.refine_once ctx
-      else Engine_bdd.refine_once_pairwise ctx
-    in
     {
       refine_initial = wrap (Engine_bdd.refine_initial ctx);
-      refine_once = (fun p -> wrap refine_once p);
+      refine_once = wrap (Engine_bdd.refine_once ctx);
       pool = ctx.Engine_bdd.pool;
       peak_bdd = (fun () -> ctx.Engine_bdd.peak_nodes);
       n_sat_calls = (fun () -> 0);
@@ -419,18 +406,12 @@ let make_engine (options : options) deadline product pol =
   | Sat_engine ->
     let ctx =
       Engine_sat.make ~max_sat_calls:options.max_sat_calls ~k:options.sat_unroll
-        ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis
-        ~incremental:options.use_incremental product
+        ~jobs:options.jobs ~deadline ~static_filter:options.use_analysis product
     in
     let wrap f x = try f x with Engine_sat.Budget_exceeded msg -> raise (Budget msg) in
-    let refine_initial, refine_once =
-      if options.use_batched_sweeps then
-        (Engine_sat.refine_initial ctx, Engine_sat.refine_once ctx)
-      else (Engine_sat.refine_initial_pairwise ctx, Engine_sat.refine_once_pairwise ctx)
-    in
     {
-      refine_initial = wrap refine_initial;
-      refine_once = (fun p -> wrap refine_once p);
+      refine_initial = wrap (Engine_sat.refine_initial ctx);
+      refine_once = wrap (Engine_sat.refine_once ctx);
       pool = ctx.Engine_sat.pool;
       peak_bdd = (fun () -> 0);
       n_sat_calls = (fun () -> Atomic.get ctx.Engine_sat.sat_calls);
@@ -504,47 +485,24 @@ let simulate_difference ~seed ~n_frames spec impl =
           | _ -> None))
       None f1
   in
-  let rec scan i frames_seen = function
-    | [], [] -> None
-    | f1 :: r1, f2 :: r2 -> (
+  let rec go i seen frames o1 o2 =
+    match (frames, o1, o2) with
+    | words :: frames, f1 :: r1, f2 :: r2 -> (
+      let seen = words :: seen in
       match diff_bit f1 f2 with
       | Some bit ->
         let trace =
           Array.of_list
             (List.rev_map
-               (fun words ->
-                 Array.map
-                   (fun w -> Int64.logand (Int64.shift_right_logical w bit) 1L = 1L)
-                   words)
-               frames_seen)
+               (fun ws ->
+                 Array.map (fun w -> Int64.logand (Int64.shift_right_logical w bit) 1L = 1L) ws)
+               seen)
         in
         Some (i, trace)
-      | None -> scan (i + 1) frames_seen (r1, r2))
-    | _, _ -> None
-  and scan0 () =
-    let rec go i seen frames o1 o2 =
-      match (frames, o1, o2) with
-      | words :: frames, f1 :: r1, f2 :: r2 -> (
-        let seen = words :: seen in
-        match diff_bit f1 f2 with
-        | Some bit ->
-          let trace =
-            Array.of_list
-              (List.rev_map
-                 (fun ws ->
-                   Array.map
-                     (fun w -> Int64.logand (Int64.shift_right_logical w bit) 1L = 1L)
-                     ws)
-                 seen)
-          in
-          Some (i, trace)
-        | None -> go (i + 1) seen frames r1 r2)
-      | _ -> None
-    in
-    go 0 [] frames o1 o2
+      | None -> go (i + 1) seen frames r1 r2)
+    | _ -> None
   in
-  ignore scan;
-  scan0 ()
+  go 0 [] frames o1 o2
 
 (* --- initial-frame disproofs -------------------------------------------------------- *)
 
@@ -554,10 +512,7 @@ let simulate_difference ~seed ~n_frames spec impl =
    concrete witness with a bounded refutation over exactly that window so
    the verdict never ships without a trace. *)
 let initial_disproof (options : options) product =
-  let k =
-    match options.engine with Bdd_engine -> 1 | Sat_engine -> max 1 options.sat_unroll
-  in
-  match Reach.Bmc.check ~max_depth:(k - 1) product.Product.aig with
+  match Reach.Bmc.check ~max_depth:(effective_induction options - 1) product.Product.aig with
   | Reach.Bmc.Counterexample cex -> (cex.Reach.Bmc.depth, Some cex.Reach.Bmc.inputs)
   | Reach.Bmc.No_counterexample _ | Reach.Bmc.Budget _ -> (0, None)
 

@@ -118,3 +118,44 @@ let preflight_aig ~subject aig =
   match Aig_check.errors aig with
   | [] -> ()
   | errs -> raise (Rejected (render ~subject errs))
+
+(* --- circuit intake ----------------------------------------------------------- *)
+
+(* Read a circuit file for verification, dispatching on its suffix:
+   [.aag] ASCII and [.aig] binary AIGER, [.v] structural Verilog (lowered
+   to plain latches), [.bench], and BLIF otherwise.  Netlists are parsed
+   leniently so the preflight reports every defect at once; Verilog is
+   preflighted both as written and after lowering.  Parse, lowering,
+   preflight and file errors come back as [Error] with the message to
+   show. *)
+let load_circuit path =
+  let has = Filename.check_suffix path in
+  try
+    if has ".aag" || has ".aig" then begin
+      let aig =
+        if has ".aag" then Aig.Aiger.parse_file path
+        else Aig.Aiger.parse_binary_string (In_channel.with_open_bin path In_channel.input_all)
+      in
+      preflight_aig ~subject:path aig;
+      Ok aig
+    end
+    else begin
+      let netlist =
+        if has ".v" then begin
+          let design = Netlist.Verilog.parse_file ~lenient:true path in
+          preflight_netlist ~subject:path (Netlist.Clocking.circuit design);
+          Netlist.Clocking.lower design
+        end
+        else if has ".bench" then Netlist.Bench.parse_file ~lenient:true path
+        else Netlist.Blif.parse_file ~lenient:true path
+      in
+      preflight_netlist ~subject:path netlist;
+      Ok (fst (Aig.of_netlist netlist))
+    end
+  with
+  | Rejected report -> Error (String.trim report)
+  | Netlist.Blif.Parse_error msg | Netlist.Bench.Parse_error msg
+  | Netlist.Verilog.Parse_error msg | Aig.Aiger.Parse_error msg ->
+    Error (Printf.sprintf "%s: parse error: %s" path msg)
+  | Netlist.Clocking.Lower_error msg -> Error (Printf.sprintf "%s: clocking error: %s" path msg)
+  | Sys_error msg -> Error msg

@@ -64,7 +64,7 @@ module Traversal : sig
 
   val check_equivalence : ?budget:budget -> ?use_fundep:bool -> Trans.t -> result
   (** {!run} with the property "all outputs are 1" — for product machines
-      whose outputs are pairwise XNORs. *)
+      whose outputs are the XNORs of corresponding output pairs. *)
 
   val count_states : Trans.t -> Bdd.t -> float
 end

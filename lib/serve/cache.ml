@@ -86,11 +86,10 @@ let create ?(capacity = 128) ~dir () =
 
 (* Canonical option string: order-fixed, deadline-free (see above). *)
 let options_key (o : Protocol.verify_opts) =
-  (* incremental/speculate on/off prove the same verdict but report
-     different solver-work counters, so the runs must not share a cache
-     entry *)
-  Printf.sprintf "m=%s e=%s k=%d seed=%d analysis=%b incr=%b spec=%b" o.meth o.engine
-    (max 1 o.induction) o.seed o.analysis o.incremental o.speculate
+  (* speculate on/off prove the same verdict but report different
+     solver-work counters, so the runs must not share a cache entry *)
+  Printf.sprintf "m=%s e=%s k=%d seed=%d analysis=%b spec=%b" o.meth o.engine
+    (max 1 o.induction) o.seed o.analysis o.speculate
 
 let key ~spec_digest ~impl_digest ~opts_key =
   spec_digest ^ ":" ^ impl_digest ^ ":" ^ opts_key

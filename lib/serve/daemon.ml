@@ -121,39 +121,20 @@ let take_events d =
 
 (* --- circuit intake -------------------------------------------------------------- *)
 
-(* Same suffix dispatch and lint preflight as the CLI's [read_circuit],
-   but returning a result — a malformed submission is a protocol error
-   for one client, not a daemon exit. *)
-let load_circuit ~subject circuit =
-  try
-    let aig =
-      match circuit with
-      | Protocol.Aag text ->
-        let aig = Aig.Aiger.parse_string text in
-        Lint.preflight_aig ~subject aig;
-        aig
-      | Protocol.Path path ->
-        if Filename.check_suffix path ".aag" then begin
-          let aig = Aig.Aiger.parse_file path in
-          Lint.preflight_aig ~subject:path aig;
-          aig
-        end
-        else begin
-          let netlist =
-            if Filename.check_suffix path ".bench" then
-              Netlist.Bench.parse_file ~lenient:true path
-            else Netlist.Blif.parse_file ~lenient:true path
-          in
-          Lint.preflight_netlist ~subject:path netlist;
-          fst (Aig.of_netlist netlist)
-        end
-    in
-    Ok aig
-  with
-  | Lint.Rejected report -> Error (Printf.sprintf "%s rejected by lint preflight:\n%s" subject report)
-  | Netlist.Blif.Parse_error msg | Netlist.Bench.Parse_error msg | Aig.Aiger.Parse_error msg ->
-    Error (Printf.sprintf "%s: parse error: %s" subject msg)
-  | Sys_error msg -> Error msg
+(* Paths go through the same loader as the CLI ({!Lint.load_circuit});
+   inline AIGER text gets the same preflight.  Both return a result — a
+   malformed submission is a protocol error for one client, not a daemon
+   exit. *)
+let load_circuit ~subject = function
+  | Protocol.Path path -> Lint.load_circuit path
+  | Protocol.Aag text -> (
+    try
+      let aig = Aig.Aiger.parse_string text in
+      Lint.preflight_aig ~subject aig;
+      Ok aig
+    with
+    | Lint.Rejected report -> Error (String.trim report)
+    | Aig.Aiger.Parse_error msg -> Error (Printf.sprintf "%s: parse error: %s" subject msg))
 
 (* --- verification worker --------------------------------------------------------- *)
 
@@ -175,7 +156,6 @@ let scorr_options d job ~resume =
     sat_unroll = max 1 job.opts.induction;
     seed = job.opts.seed;
     use_analysis = job.opts.analysis || job.opts.meth = "auto";
-    use_incremental = job.opts.incremental;
     use_speculation = job.opts.speculate;
     deadline_seconds = job.opts.deadline;
     preflight = false;  (* done at submission time *)

@@ -20,7 +20,6 @@ type verify_opts = {
   induction : int;  (** SAT-engine unrolling depth *)
   seed : int;
   analysis : bool;
-  incremental : bool;  (** persistent per-lane SAT solvers (default) *)
   speculate : bool;  (** speculative reduction with the per-class dispatcher *)
   deadline : float;  (** per-job wall budget, seconds; 0 = none *)
 }
@@ -32,7 +31,6 @@ let default_opts =
     induction = 1;
     seed = 1;
     analysis = false;
-    incremental = true;
     speculate = false;
     deadline = 0.0;
   }
@@ -116,7 +114,6 @@ let opts_to_json o =
       ("induction", Json.Int o.induction);
       ("seed", Json.Int o.seed);
       ("analysis", Json.Bool o.analysis);
-      ("incremental", Json.Bool o.incremental);
       ("speculate", Json.Bool o.speculate);
       ("deadline", Json.Float o.deadline);
     ]
@@ -242,6 +239,9 @@ let circuit_of_json v =
   | Json.Null, Json.Null -> bad "circuit needs a \"path\" or \"aag\" field"
   | _ -> bad "circuit takes exactly one of \"path\" and \"aag\""
 
+(* Members this decoder does not read are ignored, so requests from older
+   clients — e.g. ones still sending the retired "incremental" switch —
+   decode and run unchanged. *)
 let opts_of_json v =
   match v with
   | Json.Null -> default_opts
@@ -253,7 +253,6 @@ let opts_of_json v =
       induction = Json.to_int ~default:d.induction (Json.member "induction" v);
       seed = Json.to_int ~default:d.seed (Json.member "seed" v);
       analysis = Json.to_bool ~default:d.analysis (Json.member "analysis" v);
-      incremental = Json.to_bool ~default:d.incremental (Json.member "incremental" v);
       speculate = Json.to_bool ~default:d.speculate (Json.member "speculate" v);
       deadline = Json.to_float ~default:d.deadline (Json.member "deadline" v);
     }

@@ -344,6 +344,28 @@ let test_bench_lenient () =
   Alcotest.(check bool) "undriven" true (has_rule "undriven-net" diags);
   Alcotest.(check bool) "unclosed" true (has_rule "unclosed-latch" diags)
 
+(* --- circuit intake ------------------------------------------------------------- *)
+
+let test_load_binary_aig () =
+  let spec = Circuits.Suite.aig_of (Option.get (Circuits.Suite.find "ctr8")) in
+  let impl = Circuits.Suite.implementation ~recipe:Circuits.Suite.Retime_opt ~seed:3 spec in
+  let path = Filename.temp_file "seqver-load" ".aig" in
+  let write text = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text) in
+  write (Aig.Aiger.to_binary_string impl);
+  (match Lint.load_circuit path with
+  | Ok aig ->
+    Alcotest.(check int) "latches" (Aig.num_latches impl) (Aig.num_latches aig);
+    Alcotest.(check int) "ands" (Aig.num_ands impl) (Aig.num_ands aig);
+    Alcotest.(check bool) "proves against the spec" true
+      (match Scorr.check spec aig with Scorr.Equivalent _ -> true | _ -> false)
+  | Error msg -> Alcotest.fail msg);
+  write "aig 1 1 0 1 0\n";
+  (match Lint.load_circuit path with
+  | Error msg ->
+    Alcotest.(check string) "parse error" (path ^ ": parse error: unexpected end of binary aig") msg
+  | Ok _ -> Alcotest.fail "truncated binary aig accepted");
+  Sys.remove path
+
 let () =
   Alcotest.run "lint"
     [
@@ -373,5 +395,6 @@ let () =
           Alcotest.test_case "preflight rejects" `Quick test_preflight_rejects;
           Alcotest.test_case "preflight off" `Quick test_preflight_can_be_disabled;
           Alcotest.test_case "lenient .bench" `Quick test_bench_lenient;
+          Alcotest.test_case "binary aig intake" `Quick test_load_binary_aig;
         ] );
     ]

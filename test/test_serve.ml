@@ -93,7 +93,7 @@ let requests =
       {
         spec = Serve.Protocol.Path "spec.blif";
         impl = Serve.Protocol.Path "impl.aag";
-        opts = { Serve.Protocol.default_opts with engine = "sat"; incremental = false };
+        opts = { Serve.Protocol.default_opts with engine = "sat"; analysis = true; speculate = true };
         watch = false;
       };
     Serve.Protocol.Status "job-1";
@@ -217,6 +217,30 @@ let test_protocol_rejects_malformed () =
   match Serve.Protocol.decode_response "{\"resp\":\"nope\"}" with
   | Ok _ -> Alcotest.fail "unknown response accepted"
   | Error _ -> ()
+
+(* A submission line as an older client sends it, still carrying the
+   retired "incremental" switch inside its options. *)
+let with_retired_incremental line =
+  match Serve.Json.of_string line with
+  | Serve.Json.Obj fields ->
+    Serve.Json.to_string
+      (Serve.Json.Obj
+         (List.map
+            (function
+              | "opts", Serve.Json.Obj o ->
+                ("opts", Serve.Json.Obj (("incremental", Serve.Json.Bool false) :: o))
+              | field -> field)
+            fields))
+  | _ -> Alcotest.fail "a request line is not a JSON object"
+
+let test_retired_incremental_decodes () =
+  List.iter
+    (fun req ->
+      let line = with_retired_incremental (Serve.Protocol.request_to_line req) in
+      match Serve.Protocol.decode_request line with
+      | Ok req' -> Alcotest.(check bool) ("member ignored: " ^ line) true (req = req')
+      | Error msg -> Alcotest.fail (Printf.sprintf "decode of %s failed: %s" line msg))
+    requests
 
 let test_trace_strings () =
   let trace = [| [| true; false; true |]; [| false; false; true |] |] in
@@ -492,6 +516,48 @@ let test_daemon_end_to_end () =
       Alcotest.(check bool) "socket live" true (Sys.file_exists socket));
   ()
 
+(* The old-client line is not only decoded but run: the daemon accepts it
+   and proves the pair. *)
+let test_daemon_runs_retired_incremental () =
+  with_daemon (fun ~socket:_ ~client ->
+      let spec, impl = suite_pair "ctr8" in
+      let line =
+        with_retired_incremental
+          (Serve.Protocol.request_to_line
+             (Serve.Protocol.Submit
+                {
+                  spec = aag spec;
+                  impl = aag impl;
+                  opts = { Serve.Protocol.default_opts with engine = "sat" };
+                  watch = false;
+                }))
+        ^ "\n"
+      in
+      Serve.Client.write_all client.Serve.Client.fd line 0 (String.length line);
+      let job =
+        match Serve.Client.next client with
+        | Serve.Protocol.Submitted { job; _ } -> job
+        | _ -> Alcotest.fail "old-client submission not accepted"
+      in
+      match Serve.Client.request client (Serve.Protocol.Result { job; wait = true }) with
+      | Serve.Protocol.Job_result { outcome; _ } ->
+        Alcotest.(check string) "verdict" "equivalent" outcome.Serve.Protocol.verdict
+      | _ -> Alcotest.fail "no result for the old-client job")
+
+(* A .v path goes through the shared loader — parsed, lowered and
+   preflighted — so a clocked design proves against itself. *)
+let test_daemon_serves_verilog_path () =
+  with_daemon (fun ~socket:_ ~client ->
+      let path = Filename.concat (temp_dir ()) "divider.v" in
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc
+            (Netlist.Verilog.design_to_string (Circuits.Clocked.gated_divider ~stages:4 ())));
+      let _, o =
+        Serve.Client.submit_and_wait client ~spec:(Serve.Protocol.Path path)
+          ~impl:(Serve.Protocol.Path path) ~opts:Serve.Protocol.default_opts ()
+      in
+      Alcotest.(check string) "verdict" "equivalent" o.Serve.Protocol.verdict)
+
 let test_daemon_cancel_queued () =
   (* one worker: the first (slow) job occupies it, the second sits in
      the queue and is cancelled before it ever starts *)
@@ -579,6 +645,8 @@ let () =
           Alcotest.test_case "request round trip" `Quick test_request_round_trip;
           Alcotest.test_case "response round trip" `Quick test_response_round_trip;
           Alcotest.test_case "rejects malformed lines" `Quick test_protocol_rejects_malformed;
+          Alcotest.test_case "retired incremental member ignored" `Quick
+            test_retired_incremental_decodes;
           Alcotest.test_case "trace bit strings" `Quick test_trace_strings;
         ] );
       ( "jobq",
@@ -597,6 +665,9 @@ let () =
         [
           Alcotest.test_case "end to end" `Slow test_daemon_end_to_end;
           Alcotest.test_case "cancel a queued job" `Slow test_daemon_cancel_queued;
+          Alcotest.test_case "runs an old-client request" `Slow
+            test_daemon_runs_retired_incremental;
+          Alcotest.test_case "serves a Verilog path" `Slow test_daemon_serves_verilog_path;
           Alcotest.test_case "cached = fresh (qcheck)" `Slow test_cached_equals_fresh;
         ] );
     ]

@@ -126,3 +126,92 @@ let bounded_seq_equiv ?(max_states = 1 lsl 16) a1 a2 =
     done
   done;
   !ok
+
+(* Explicit-state signal correspondence at induction depth 1: the
+   exactness reference for both engines on tiny product machines.  Every
+   candidate node of the product is valued by plain simulation at every
+   (state, input) point, normalised by the product's reference polarity.
+   T0 groups the nodes that agree on every input from the initial state
+   (Eq. 2).  Each refinement then keeps two nodes together only if they
+   agree at every successor point (delta(s, x_t), x_{t+1}) of every point
+   (s, x_t) — over all product states, reachable or not — that satisfies
+   the correspondence condition Q of the current partition (Eq. 3).
+   Returns the greatest fixed point's multi-member classes, each sorted,
+   in sorted order; [seed] must be the run's, since it fixes the
+   polarities. *)
+let signal_correspondence ~seed (product : Scorr.Product.t) =
+  let aig = product.Scorr.Product.aig in
+  let n_latches = Aig.num_latches aig and n_pis = Aig.num_pis aig in
+  assert (n_latches + n_pis <= 12);
+  let pol = Scorr.Product.reference_values ~seed product in
+  let nodes = Array.of_list (Scorr.Product.candidate_nodes product) in
+  let n = Array.length nodes in
+  let n_inputs = 1 lsl n_pis in
+  let point s x = (s lsl n_pis) lor x in
+  let n_points = (1 lsl n_latches) * n_inputs in
+  let bit v i = if v land (1 lsl i) <> 0 then 1L else 0L in
+  let value = Array.make n_points [||] and next = Array.make n_points 0 in
+  for s = 0 to (1 lsl n_latches) - 1 do
+    for x = 0 to n_inputs - 1 do
+      let words =
+        Aig.Sim.eval_comb aig ~pi_words:(Array.init n_pis (bit x))
+          ~latch_words:(Array.init n_latches (bit s))
+      in
+      let on l = Int64.logand (Aig.Sim.lit_word words l) 1L = 1L in
+      value.(point s x) <- Array.map (fun id -> on (Aig.lit_of_node id) <> pol.(id)) nodes;
+      for i = 0 to n_latches - 1 do
+        if on (Aig.latch_next aig i) then next.(point s x) <- next.(point s x) lor (1 lsl i)
+      done
+    done
+  done;
+  let s0 =
+    List.fold_left
+      (fun acc i -> if Aig.latch_init aig i then acc lor (1 lsl i) else acc)
+      0
+      (List.init n_latches Fun.id)
+  in
+  (* split every class by [key]; class ids are dense from 0 *)
+  let split cls key =
+    let ids = Hashtbl.create 64 in
+    Array.mapi
+      (fun i c ->
+        let k = (c, key i) in
+        match Hashtbl.find_opt ids k with
+        | Some j -> j
+        | None ->
+          let j = Hashtbl.length ids in
+          Hashtbl.add ids k j;
+          j)
+      cls
+  in
+  let n_classes cls = 1 + Array.fold_left max (-1) cls in
+  let t0 =
+    split (Array.make n 0) (fun i -> List.init n_inputs (fun x -> value.(point s0 x).(i)))
+  in
+  let rec fixpoint cls =
+    let rep = Array.make n (-1) in
+    Array.iteri (fun i c -> if rep.(c) < 0 then rep.(c) <- i) cls;
+    let satisfies_q p =
+      let v = value.(p) in
+      let ok = ref true in
+      Array.iteri (fun i c -> if v.(i) <> v.(rep.(c)) then ok := false) cls;
+      !ok
+    in
+    let q_points = List.filter satisfies_q (List.init n_points Fun.id) in
+    let cls' =
+      split cls (fun i ->
+          List.concat_map
+            (fun p -> List.init n_inputs (fun x' -> value.(point next.(p) x').(i)))
+            q_points)
+    in
+    if n_classes cls' = n_classes cls then cls else fixpoint cls'
+  in
+  let cls = fixpoint t0 in
+  let members = Array.make n [] in
+  for i = n - 1 downto 0 do
+    members.(cls.(i)) <- nodes.(i) :: members.(cls.(i))
+  done;
+  List.sort compare
+    (List.filter_map
+       (function [] | [ _ ] -> None | ms -> Some (List.sort compare ms))
+       (Array.to_list members))
